@@ -6,7 +6,7 @@ once for every query probing it.  This is the real (measured, not
 modeled) engine-level speedup behind the Milvus curves in Fig. 8.
 
 Since the kernel push the bucket-major loop lives inside
-``IVFIndexBase._search_batched`` (and ``BatchedIVFSearcher`` merely
+``IVFIndexBase._search_pruned`` (and ``BatchedIVFSearcher`` merely
 delegates), so the per-query side of this ablation pins
 ``REPRO_KERNELS=0`` to force the reference per-query-per-bucket path.
 """

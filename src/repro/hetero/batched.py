@@ -10,9 +10,9 @@ inverted-file form, and it is genuinely faster in this substrate
 because blocking maps onto BLAS.
 
 The bucket-major loop now lives *inside* the IVF family
-(:meth:`repro.index.ivf_common.IVFIndexBase._search_batched`), where it
-composes with the per-query-batch scan contexts (ADC tables built once,
-decode-free SQ8 terms) and the blocked fast-scan kernels.  This wrapper
+(:meth:`repro.index.ivf_common.IVFIndexBase._search_pruned`), where it
+composes with the per-request scan states (ADC tables built once,
+decode-free SQ8 terms), the contiguous lists and threshold pruning.  This wrapper
 delegates and is kept for API compatibility with the heterogeneous
 scheduler and the figure-12 benchmark.
 """

@@ -6,22 +6,20 @@ the vectors within each bucket."  Query processing takes two steps:
 (1) find the closest ``nprobe`` buckets by centroid distance; (2) scan
 each relevant bucket with the fine quantizer.
 
-:class:`IVFIndexBase` implements the coarse step, inverted-list
-bookkeeping, bucket selection, and the two-step search loop; fine
-quantizers only implement ``_encode`` and ``_scan_list``.
+:class:`IVFIndexBase` implements the coarse step, the inverted lists,
+bucket selection and the probe; fine quantizers implement ``_encode``,
+``_row_terms``, ``_begin_scan`` and the reference scorer ``_scan_list``.
 
-Two execution paths share the same counters and (up to float summation
-order and tie-breaks) the same results:
-
-* the **kernel path** (default): a per-query-batch scan context from
-  ``_begin_scan`` (PQ ADC tables / SQ8 affine terms built exactly once
-  per batch) plus bucket-major execution — every bucket is scanned
-  once for *all* the queries probing it, and per-query results are
-  assembled with one :func:`merge_topk_batch` call over the padded
-  per-bucket partials (paper Sec. 3.2.1, cache-aware design);
-* the **reference path** (``REPRO_KERNELS=0``): the original
-  query-major loop with no context, kept as the equivalence baseline
-  for tests and the kernel ablation bench.
+The lists are stored contiguously (:class:`InvertedLists`: one
+``offsets`` / ``ids`` / ``codes`` CSR per index, the layout of the
+Faiss library paper) and read through an immutable snapshot, so the
+read path takes no lock.  The probe (``_search_pruned``) is
+bucket-major — a block of queries reuses each bucket, paper
+Sec. 3.2.1 — and threshold-pruned: a row is compared with the
+query's k-th best score *before* it is kept, so no per-bucket top-k is
+ever taken.  ``REPRO_KERNELS=0`` selects the original query-major loop
+(``_search_perquery``), kept as the equivalence baseline for tests;
+both paths report the same work counters.
 """
 
 from __future__ import annotations
@@ -38,87 +36,153 @@ from repro.index.kmeans import KMeans, assign_to_centroids
 from repro.metrics.base import MetricKind
 from repro.metrics.dense import l2_squared_pairwise
 from repro.obs.profile import current_node
-from repro.utils import (
-    ensure_positive,
-    merge_topk,
-    merge_topk_batch,
-    topk_from_scores,
-)
+from repro.utils import ensure_positive, merge_topk, topk_from_scores
 from repro.utils.sanitizer import maybe_sanitize
 
 DEFAULT_NLIST = 128
 DEFAULT_NPROBE = 8
 
+#: fine-quantizer terms stored per row, in CSR order (entries may be None)
+RowTerms = Tuple[Optional[np.ndarray], ...]
 
-class InvertedLists:
-    """Per-bucket row ids and fine-quantizer codes.
 
-    Codes are stored as one ndarray per bucket with an index-specific
-    dtype/shape chosen by the fine quantizer; this class is agnostic.
+class ListsSnapshot:
+    """One immutable CSR image of the inverted lists.
 
-    Thread-safety: :meth:`get` compacts a bucket's append blocks into
-    one array *lazily on the read path*, and concurrent queries hit the
-    same index under the parallel per-segment executor — so every
-    block-list access runs under an internal leaf lock (sanitizer role
-    ``"ivf-lists"``, guarded fields declared below and in pyproject).
-    The lock is held only around list bookkeeping and the concatenate;
-    returned arrays are immutable by convention (appends create new
-    blocks, never mutate returned ones).
+    Bucket ``b`` owns positions ``offsets[b]:offsets[b + 1]`` of
+    ``ids``, ``codes`` and every array in ``terms`` (the fine
+    quantizer's query-independent per-row terms).  Within a bucket rows
+    keep insertion order.  Nothing here is written after construction
+    except ``terms`` and the id lookup table: data derived from the
+    arrays above, filled in on first use (a concurrent first use
+    computes them twice; both results are identical).
     """
 
-    _GUARDED_BY = {"ids": "_lock", "codes": "_lock", "_sizes": "_lock"}
+    __slots__ = ("offsets", "ids", "codes", "terms", "_by_id")
+
+    def __init__(self, offsets, ids, codes):
+        self.offsets = offsets
+        self.ids = ids
+        self.codes = codes
+        self.terms: Optional[RowTerms] = None
+        self._by_id: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def positions_of(self, row_ids: np.ndarray) -> np.ndarray:
+        """Ascending CSR positions of the rows whose id is in ``row_ids``.
+
+        Costs ``len(row_ids)`` binary searches, not one per stored row:
+        a 1 % filter is translated 100x cheaper than a 100 % one.  Ids
+        are unique within an index (segment row ids are).
+        """
+        by_id = self._by_id
+        if by_id is None:
+            perm = np.argsort(self.ids, kind="stable")
+            by_id = self._by_id = (self.ids[perm], perm)
+        sorted_ids, perm = by_id
+        admissible = np.zeros(len(sorted_ids), dtype=bool)
+        if len(row_ids) and len(sorted_ids):
+            loc = np.searchsorted(sorted_ids, row_ids)
+            np.minimum(loc, len(sorted_ids) - 1, out=loc)
+            admissible[perm[loc[sorted_ids[loc] == row_ids]]] = True
+        return np.flatnonzero(admissible)
+
+    def derived_bytes(self) -> int:
+        """Bytes held beyond ``ids`` and ``codes``."""
+        arrays = [self.offsets, *(self.terms or ()), *(self._by_id or ())]
+        return sum(a.nbytes for a in arrays if a is not None)
+
+
+class InvertedLists:
+    """Contiguous (CSR) inverted lists behind an immutable snapshot.
+
+    Codes are one ndarray with an index-specific dtype/shape chosen by
+    the fine quantizer; this class is agnostic.
+
+    Thread-safety: writers :meth:`append` bucket-grouped chunks under
+    the leaf lock (sanitizer role ``"ivf-lists"``) and drop the
+    published snapshot; the next :meth:`snapshot` call merges the chunks
+    with one stable argsort of their bucket labels — under the lock,
+    once — and publishes the result by a single assignment.  Readers
+    that find a published snapshot take no lock at all; one taken
+    before an ``append`` stays valid (it is never mutated) and simply
+    does not see the new rows.
+    """
+
+    _GUARDED_BY = {"_chunks": "_lock", "_snap": "_lock"}
 
     def __init__(self, nlist: int):
         self.nlist = nlist
         self._lock = maybe_sanitize(threading.Lock(), "ivf-lists")
-        self.ids: List[List[np.ndarray]] = [[] for __ in range(nlist)]
-        self.codes: List[List[np.ndarray]] = [[] for __ in range(nlist)]
-        self._sizes = np.zeros(nlist, dtype=np.int64)
+        #: every stored row, as (per-bucket counts, ids, codes) chunks
+        #: whose rows are already grouped by ascending bucket
+        self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._snap: Optional[ListsSnapshot] = None
 
-    def append(self, list_no: int, ids: np.ndarray, codes: np.ndarray) -> None:
+    def append(self, counts: np.ndarray, ids: np.ndarray, codes: np.ndarray) -> None:
+        """Add rows grouped by bucket: the first ``counts[0]`` rows
+        belong to bucket 0, the next ``counts[1]`` to bucket 1, ..."""
         if len(ids) == 0:
             return
         with self._lock:
-            self.ids[list_no].append(np.asarray(ids, dtype=np.int64))
-            self.codes[list_no].append(codes)
-            self._sizes[list_no] += len(ids)
+            self._chunks.append(
+                (np.asarray(counts, dtype=np.int64),
+                 np.asarray(ids, dtype=np.int64), codes)
+            )
+            self._snap = None
+
+    def snapshot(self) -> ListsSnapshot:
+        """The current CSR image (lock-free once built)."""
+        snap = self._snap
+        if snap is None:
+            with self._lock:
+                snap = self._snap
+                if snap is None:
+                    snap = self._snap = self._build_locked()
+        return snap
+
+    def _build_locked(self) -> ListsSnapshot:
+        if not self._chunks:
+            return ListsSnapshot(
+                np.zeros(self.nlist + 1, dtype=np.int64),
+                np.empty(0, dtype=np.int64), None,
+            )
+        if len(self._chunks) > 1:
+            # Stable sort of the concatenated labels: bucket-major, and
+            # insertion order within a bucket.
+            buckets = np.arange(self.nlist)
+            labels = np.concatenate(
+                [np.repeat(buckets, counts) for counts, __, __ in self._chunks]
+            )
+            order = np.argsort(labels, kind="stable")
+            merged = (
+                np.sum([counts for counts, __, __ in self._chunks], axis=0),
+                np.concatenate([ids for __, ids, __ in self._chunks])[order],
+                np.concatenate([codes for __, __, codes in self._chunks])[order],
+            )
+            self._chunks = [merged]
+        counts, ids, codes = self._chunks[0]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        return ListsSnapshot(offsets, ids, codes)
 
     def get(self, list_no: int):
-        """Return (ids, codes) for one bucket, compacting lazily."""
-        with self._lock:
-            if len(self.ids[list_no]) > 1:
-                self.ids[list_no] = [np.concatenate(self.ids[list_no])]
-                self.codes[list_no] = [np.concatenate(self.codes[list_no])]
-            if not self.ids[list_no]:
-                return np.empty(0, dtype=np.int64), None
-            return self.ids[list_no][0], self.codes[list_no][0]
+        """(ids, codes) views of one bucket; codes is None while empty."""
+        snap = self.snapshot()
+        lo, hi = snap.offsets[list_no], snap.offsets[list_no + 1]
+        return snap.ids[lo:hi], None if snap.codes is None else snap.codes[lo:hi]
 
-    def is_compacted_block(self, list_no: int, codes: np.ndarray) -> bool:
-        """Is ``codes`` the bucket's single compacted block (by identity)?
-
-        Kernel caches key bucket-side precomputations on this: a
-        ``row_filter`` slices codes into a fresh array, which must be
-        scored directly rather than against cached full-bucket terms.
-        """
-        with self._lock:
-            blocks = self.codes[list_no]
-            return len(blocks) == 1 and codes is blocks[0]
-
-    def size(self, list_no: int) -> int:
-        return int(self._sizes[list_no])
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.snapshot().offsets)
 
     @property
     def total(self) -> int:
-        return int(self._sizes.sum())
+        return len(self.snapshot().ids)
 
     def memory_bytes(self) -> int:
+        """Resident bytes; does not force a pending merge."""
         with self._lock:
-            total = 0
-            for blocks in self.ids:
-                total += sum(b.nbytes for b in blocks)
-            for blocks in self.codes:
-                total += sum(b.nbytes for b in blocks)
-            return total
+            total = sum(i.nbytes + c.nbytes for __, i, c in self._chunks)
+            snap = self._snap
+        return total + (snap.derived_bytes() if snap is not None else 0)
 
 
 class IVFIndexBase(VectorIndex):
@@ -164,28 +228,27 @@ class IVFIndexBase(VectorIndex):
 
     def _add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
         labels, __ = assign_to_centroids(vectors, self.centroids)
-        for list_no in np.unique(labels):
-            mask = labels == list_no
-            codes = self._encode(vectors[mask], int(list_no))
-            self.lists.append(int(list_no), ids[mask], codes)
+        # One gather straight into CSR order (it also detaches the
+        # stored codes from the caller's array).
+        order = np.argsort(labels, kind="stable")
+        self.lists.append(
+            np.bincount(labels, minlength=self.nlist),
+            ids[order],
+            self._encode(vectors)[order],
+        )
         self._ntotal += len(vectors)
 
     def warm(self) -> None:
-        """Precompute per-bucket kernel terms for every populated bucket.
+        """Build the CSR snapshot and its per-row terms now, so the
+        first search pays only the scans."""
+        self._snapshot()
 
-        Compacts each inverted list and runs the subclass's
-        ``_warm_list`` hook (code casts, decoded norms, flat LUT
-        indices) so the first search of a batch pays only the scans.
-        """
-        if not kernels.kernels_enabled():
-            return
-        for list_no in range(self.nlist):
-            ids, codes = self.lists.get(list_no)
-            if len(ids):
-                self._warm_list(list_no, codes)
-
-    def _warm_list(self, list_no: int, codes: np.ndarray) -> None:
-        """Hook: cache query-independent terms for one compacted bucket."""
+    def _snapshot(self) -> ListsSnapshot:
+        """The lists' current image, with its per-row terms filled in."""
+        snap = self.lists.snapshot()
+        if snap.terms is None and snap.codes is not None:
+            snap.terms = self._row_terms(snap.codes)
+        return snap
 
     # -- search --------------------------------------------------------------
 
@@ -198,9 +261,9 @@ class IVFIndexBase(VectorIndex):
             node.count("distance_evals", len(queries) * len(self.centroids))
         coarse = l2_squared_pairwise(queries, self.centroids)
         part = np.argpartition(coarse, nprobe - 1, axis=1)[:, :nprobe]
-        row_scores = np.take_along_axis(coarse, part, axis=1)
-        order = np.argsort(row_scores, axis=1, kind="stable")
-        return np.take_along_axis(part, order, axis=1)
+        rows = np.arange(len(queries))[:, np.newaxis]
+        order = np.argsort(coarse[rows, part], axis=1, kind="stable")
+        return part[rows, order]
 
     def _search(
         self,
@@ -221,8 +284,7 @@ class IVFIndexBase(VectorIndex):
             raise TypeError(f"unknown search params: {sorted(params)}")
         bucket_ids = self.select_buckets(queries, nprobe)
         if kernels.kernels_enabled():
-            ctx = self._begin_scan(queries)
-            return self._search_batched(queries, k, bucket_ids, row_filter, ctx)
+            return self._search_pruned(queries, k, bucket_ids, row_filter)
         return self._search_perquery(queries, k, bucket_ids, row_filter)
 
     def _search_perquery(
@@ -235,7 +297,7 @@ class IVFIndexBase(VectorIndex):
         """Reference query-major loop (the pre-kernel execution path)."""
         result = SearchResult.empty(len(queries), k, self.metric)
         node = current_node()
-        buckets_probed = rows_scanned = pruned = 0
+        buckets_probed = rows_scanned = pruned = evals = nbytes = 0
         for qi in range(len(queries)):
             parts = []
             for list_no in bucket_ids[qi]:
@@ -251,7 +313,9 @@ class IVFIndexBase(VectorIndex):
                         continue
                     ids = ids[keep]
                     codes = codes[keep]
-                scores = self._scan_list(queries[qi : qi + 1], codes, int(list_no))[0]
+                evals += len(ids)
+                nbytes += codes.nbytes
+                scores = self._scan_list(queries[qi : qi + 1], codes)[0]
                 parts.append(topk_from_scores(
                     scores, k, self.metric.higher_is_better, ids=ids
                 ))
@@ -259,88 +323,107 @@ class IVFIndexBase(VectorIndex):
             result.ids[qi, : len(top_ids)] = top_ids
             result.scores[qi, : len(top_scores)] = top_scores
         if node is not None:
-            node.count("buckets_probed", buckets_probed)
-            node.count("rows_scanned", rows_scanned)
-            if pruned:
-                node.count("candidates_pruned", pruned)
+            _count_probe(node, buckets_probed, rows_scanned, pruned, evals, nbytes)
         return result
 
-    def _search_batched(
+    def _search_pruned(
         self,
         queries: np.ndarray,
         k: int,
         bucket_ids: np.ndarray,
         row_filter: Optional[np.ndarray],
-        ctx,
     ) -> SearchResult:
-        """Bucket-major execution over the whole query block.
+        """Threshold-pruned, bucket-major probe over the CSR snapshot.
 
-        Each bucket is scanned once for the group of queries probing it
-        (one kernel call / GEMM per bucket), per-bucket top-k is
-        extracted with one vectorized ``argpartition`` over the group,
-        and the padded partials merge with one :func:`merge_topk_batch`
-        call.  Work counters are exactly the reference path's: every
-        (query, bucket) probe still accounts its rows, evals, and
-        pruning individually.
+        Pass 1 scans each query's *nearest* bucket and takes the k-th
+        best score there as that query's threshold (infinite when the
+        bucket holds fewer than k admissible rows).  Pass 2 scans the
+        remaining (query, bucket) pairs and keeps only rows at or under
+        the threshold — a compare and a ``nonzero`` per bucket where a
+        per-bucket top-k would be an ``argpartition`` over every score.
+        Both passes are bucket-major: the pairs are grouped by bucket
+        with one argsort and each distinct bucket is scored once for
+        all its queries.  Every probed row is scored exactly once and
+        every row of the true top-k is at or under the threshold, so
+        one sort of the few survivors — by (score, CSR position), which
+        does not depend on a query's batch-mates — is exact over the
+        probed rows.  Work counters are the reference path's: they
+        follow from the bucket sizes alone.
         """
-        nq = len(queries)
-        higher = self.metric.higher_is_better
+        snap = self._snapshot()
+        nq, nprobe = bucket_ids.shape
+        # bounds[b]:bounds[b + 1] delimits bucket b's admissible rows:
+        # CSR positions when unfiltered, indices into `positions` (the
+        # filter translated once into ascending CSR positions) otherwise.
+        positions, bounds = None, snap.offsets
+        if row_filter is not None:
+            positions = snap.positions_of(np.asarray(row_filter, dtype=np.int64))
+            bounds = np.searchsorted(positions, snap.offsets)
         node = current_node()
-        buckets_probed = rows_scanned = pruned = 0
-
-        by_bucket: Dict[int, List[int]] = {}
-        for qi in range(nq):
-            for b in bucket_ids[qi]:
-                by_bucket.setdefault(int(b), []).append(qi)
-
-        # One sparse candidate buffer for the whole block: each query
-        # probes at most nprobe buckets contributing <= k rows each, so
-        # (nq, nprobe * k) bounds every per-query candidate list.  Each
-        # bucket's top rows scatter behind a per-query cursor — no
-        # (nq, k)-wide padding per bucket, which would dwarf the real
-        # work at small nprobe.
-        worst = -np.inf if higher else np.inf
-        width = bucket_ids.shape[1] * k
-        cand_ids = np.full((nq, width), -1, dtype=np.int64)
-        cand_scores = np.full((nq, width), worst, dtype=np.float32)
-        cursor = np.zeros(nq, dtype=np.int64)
-        for list_no, qlist in by_bucket.items():
-            ids, codes = self.lists.get(list_no)
-            if len(ids) == 0:
-                continue
-            group = len(qlist)
-            buckets_probed += group
-            rows_scanned += group * len(ids)
-            if row_filter is not None:
-                keep = _sorted_membership(ids, row_filter)
-                pruned += group * (len(ids) - int(keep.sum()))
-                if not keep.any():
-                    continue
-                ids = ids[keep]
-                codes = codes[keep]
-            qidx = np.asarray(qlist, dtype=np.int64)
-            scores = self._scan_list(
-                queries[qidx], codes, list_no, ctx=ctx, qidx=qidx
+        if node is not None:
+            sizes = np.diff(snap.offsets)[bucket_ids]
+            scanned = int(sizes.sum())
+            kept = int(np.diff(bounds)[bucket_ids].sum())
+            _count_probe(
+                node, int(np.count_nonzero(sizes)), scanned,
+                scanned - kept, kept, kept * self.row_code_bytes(),
             )
-            top_idx, top_scores = _topk_rows(scores, k, higher)
-            k_eff = top_idx.shape[1]
-            cols = cursor[qidx, np.newaxis] + np.arange(k_eff)
-            cand_ids[qidx[:, np.newaxis], cols] = ids[top_idx]
-            cand_scores[qidx[:, np.newaxis], cols] = top_scores
-            cursor[qidx] += k_eff
+
+        scan = self._begin_scan(queries, snap)
+        threshold = np.full(nq, np.inf, dtype=np.float32)
+
+        def probe(pair_q: np.ndarray, pair_b: np.ndarray, first: bool):
+            """Scan (query, bucket) pairs bucket-major; the survivors as
+            (query, index into ``bounds`` space, keyed score) arrays."""
+            order = np.argsort(pair_b, kind="stable")
+            pair_q, pair_b = pair_q[order], pair_b[order]
+            cuts = (np.flatnonzero(np.diff(pair_b)) + 1).tolist()
+            starts = [0, *cuts]
+            buckets = pair_b[starts]
+            spans = zip(starts, [*cuts, len(pair_b)],
+                        bounds[buckets].tolist(), bounds[buckets + 1].tolist())
+            hits, keys, groups = [], [], []
+            for start, stop, lo, hi in spans:
+                if lo == hi:
+                    continue
+                qidx = pair_q[start:stop]
+                rows = slice(lo, hi) if positions is None else positions[lo:hi]
+                keyed = scan.keyed(rows, qidx)
+                if first and hi - lo >= k:
+                    threshold[qidx] = np.partition(keyed, k - 1, axis=0)[k - 1]
+                # flat indices into the (rows, queries) block: a 2-D
+                # nonzero costs three times the flat one
+                hit = (keyed <= threshold[qidx]).ravel().nonzero()[0]
+                if len(hit):
+                    hits.append(hit)
+                    keys.append(keyed.take(hit))
+                    groups.append((len(hit), stop - start, start, lo))
+            if not hits:
+                return pair_q[:0], pair_q[:0], threshold[:0]
+            groups = np.array(groups)
+            width, start, lo = np.repeat(groups[:, 1:], groups[:, 0], axis=0).T
+            row, col = np.divmod(np.concatenate(hits), width)
+            return pair_q[start + col], lo + row, np.concatenate(keys)
+
+        all_q = np.arange(nq)
+        found = [probe(all_q, bucket_ids[:, 0], first=True)]
+        if nprobe > 1:
+            found.append(probe(
+                np.repeat(all_q, nprobe - 1), bucket_ids[:, 1:].ravel(),
+                first=False,
+            ))
+        q, where, key = (np.concatenate(part) for part in zip(*found))
+        pos = where if positions is None else positions[where]
 
         result = SearchResult.empty(nq, k, self.metric)
-        if cursor.any():
-            out_ids, out_scores = merge_topk_batch(
-                [(cand_ids, cand_scores)], k, higher, nq=nq
-            )
-            result.ids[:] = out_ids
-            result.scores[:] = out_scores
-        if node is not None:
-            node.count("buckets_probed", buckets_probed)
-            node.count("rows_scanned", rows_scanned)
-            if pruned:
-                node.count("candidates_pruned", pruned)
+        order = np.lexsort((pos, key, q))
+        q = q[order]
+        # rank within the query's run of the sorted survivors
+        rank = np.arange(len(q)) - np.searchsorted(q, q)
+        top = rank < k
+        order, q, rank = order[top], q[top], rank[top]
+        result.ids[q, rank] = snap.ids[pos[order]]
+        result.scores[q, rank] = scan.final(q, key[order])
         return result
 
     def _range_search(
@@ -353,56 +436,64 @@ class IVFIndexBase(VectorIndex):
         if params:
             raise TypeError(f"unknown range params: {sorted(params)}")
         bucket_ids = self.select_buckets(queries, nprobe)
-        ctx = self._begin_scan(queries) if kernels.kernels_enabled() else None
+        snap = self._snapshot()
+        scan = (
+            self._begin_scan(queries, snap) if kernels.kernels_enabled() else None
+        )
+        node = current_node()
         out = [[] for __ in range(len(queries))]
         for qi in range(len(queries)):
             qidx = np.array([qi], dtype=np.int64)
             for list_no in bucket_ids[qi]:
-                ids, codes = self.lists.get(int(list_no))
-                if len(ids) == 0:
+                lo, hi = snap.offsets[list_no], snap.offsets[list_no + 1]
+                if lo == hi:
                     continue
-                scores = self._scan_list(
-                    queries[qi : qi + 1], codes, int(list_no), ctx=ctx, qidx=qidx
-                )[0]
+                if node is not None:
+                    node.count("distance_evals", int(hi - lo))
+                    node.count("bytes_read", int(hi - lo) * self.row_code_bytes())
+                if scan is not None:
+                    scores = scan.final(qidx, scan.keyed(slice(lo, hi), qidx)[:, 0])
+                else:
+                    scores = self._scan_list(
+                        queries[qi : qi + 1], snap.codes[lo:hi]
+                    )[0]
                 if self.metric.higher_is_better:
                     hits = np.flatnonzero(scores >= radius)
                 else:
                     hits = np.flatnonzero(scores <= radius)
+                ids = snap.ids[lo:hi]
                 out[qi].extend((int(ids[h]), float(scores[h])) for h in hits)
             out[qi].sort(key=lambda p: p[1], reverse=self.metric.higher_is_better)
         return out
 
     # -- fine quantizer hooks ---------------------------------------------
 
-    def _begin_scan(self, queries: np.ndarray):
-        """Hook: build a per-query-batch scan context (or ``None``).
-
-        Called once per search batch before any bucket is scanned; the
-        returned context is threaded into every ``_scan_list`` call of
-        the batch so per-query precomputations (PQ ADC tables, SQ8
-        affine terms) are never rebuilt per probed bucket.
-        """
-        return None
-
     @abc.abstractmethod
-    def _encode(self, vectors: np.ndarray, list_no: int) -> np.ndarray:
+    def _encode(self, vectors: np.ndarray) -> np.ndarray:
         """Encode raw vectors into this index's code format."""
 
-    @abc.abstractmethod
-    def _scan_list(
-        self,
-        queries: np.ndarray,
-        codes: np.ndarray,
-        list_no: int,
-        ctx=None,
-        qidx: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Score queries against one bucket's codes -> (m, len(codes)).
+    def _row_terms(self, codes: np.ndarray) -> RowTerms:
+        """Hook: query-independent per-row terms, stored in CSR order
+        beside ``codes`` (squared norms, cast codes, flat LUT indices)."""
+        return ()
 
-        ``ctx`` is the batch context from :meth:`_begin_scan` (``None``
-        on the reference path) and ``qidx`` the row indices of
-        ``queries`` within that batch context.
+    def _begin_scan(self, queries: np.ndarray, snap: ListsSnapshot):
+        """Hook: the per-request scan state.
+
+        Built once per search, before any bucket is scanned, so nothing
+        that depends on the queries alone is recomputed per bucket.  It
+        offers ``keyed(rows, qidx)`` — a C-contiguous ``(rows, queries)``
+        block scoring the CSR rows ``rows`` (a slice or a position
+        array) against the request's queries ``qidx``, keyed so that
+        lower is better — and ``final(qidx, keyed)``, the real metric
+        scores.  The default serves any dense metric through the
+        reference scorer.
         """
+        return _ReferenceScan(self, queries, snap.codes)
+
+    @abc.abstractmethod
+    def _scan_list(self, queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Reference scorer: queries against raw codes -> (m, len(codes))."""
 
     # -- introspection -------------------------------------------------------
 
@@ -418,7 +509,7 @@ class IVFIndexBase(VectorIndex):
 
     def bucket_sizes(self) -> np.ndarray:
         """Occupancy per bucket (diagnostics / scheduler input)."""
-        return np.array([self.lists.size(i) for i in range(self.nlist)])
+        return self.lists.sizes()
 
     def stats(self) -> Dict[str, object]:
         base = super().stats()
@@ -430,29 +521,31 @@ class IVFIndexBase(VectorIndex):
         return base
 
 
-def _topk_rows(
-    scores: np.ndarray, k: int, higher_is_better: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-wise top-k over a 2-D score block, best-first.
+class _ReferenceScan:
+    """Scan state for dense metrics without a kernel: the fine
+    quantizer's reference scorer on each row range."""
 
-    The vectorized form of :func:`topk_from_scores` applied to every
-    row at once: one ``argpartition`` + stable argsort for the whole
-    query group instead of a python call per (query, bucket) pair.
-    Returns ``(indices, scores)`` of shape ``(rows, min(k, n))``.
-    """
-    rows, n = scores.shape
-    k_eff = min(k, n)
-    keyed = -scores if higher_is_better else scores
-    row_idx = np.arange(rows)[:, np.newaxis]
-    if k_eff < n:
-        sel = np.argpartition(keyed, k_eff - 1, axis=1)[:, :k_eff]
-        part = keyed[row_idx, sel]
-    else:
-        sel = np.broadcast_to(np.arange(n), (rows, n))
-        part = keyed
-    order = np.argsort(part, axis=1, kind="stable")
-    idx = sel[row_idx, order]
-    return idx, scores[row_idx, idx]
+    def __init__(self, index: IVFIndexBase, queries: np.ndarray, codes: np.ndarray):
+        self.index, self.queries, self.codes = index, queries, codes
+        self.negated = index.metric.higher_is_better
+
+    def keyed(self, rows, qidx: np.ndarray) -> np.ndarray:
+        scores = self.index._scan_list(self.queries[qidx], self.codes[rows])
+        keyed = np.ascontiguousarray(scores.T, dtype=np.float32)
+        return -keyed if self.negated else keyed
+
+    def final(self, qidx: np.ndarray, keyed: np.ndarray) -> np.ndarray:
+        return -keyed if self.negated else keyed
+
+
+def _count_probe(node, buckets_probed, rows_scanned, pruned, evals, nbytes) -> None:
+    """Record one search's work counters (zero counts stay absent)."""
+    node.count("buckets_probed", buckets_probed)
+    node.count("rows_scanned", rows_scanned)
+    for name, value in (("candidates_pruned", pruned),
+                        ("distance_evals", evals), ("bytes_read", nbytes)):
+        if value:
+            node.count(name, value)
 
 
 def _sorted_membership(ids: np.ndarray, sorted_filter: np.ndarray) -> np.ndarray:

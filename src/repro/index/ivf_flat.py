@@ -2,59 +2,37 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.exec.normcache import NormCache
-from repro.index.ivf_common import IVFIndexBase
-from repro.metrics.dense import cosine_pairwise, l2_squared_pairwise
-from repro.obs.profile import profile_count
+from repro.index import kernels
+from repro.index.ivf_common import IVFIndexBase, ListsSnapshot, RowTerms
+# Not called here since the probe does its own arithmetic, but
+# benchmarks/e2e/layers.py wraps this module's binding of the name.
+from repro.metrics.dense import l2_squared_pairwise  # noqa: F401
+from repro.metrics.dense import squared_norms
 
 
 class IVFFlatIndex(IVFIndexBase):
     """IVF with uncompressed residents — best recall of the IVF family.
 
-    Bucket scans reuse data-side kernel precomputations (``|x|^2``
-    norms for L2, unit rows for cosine) from a :class:`NormCache`, so
-    repeated probes of the same bucket cost one GEMM plus cached adds.
-    The cache is invalidated wholesale on every ``add`` — appends
-    mutate bucket contents in place — and only engages for a bucket's
-    full compacted code block (a ``row_filter`` slices codes into a
-    fresh array, which is scored directly).
+    The data-side term of each metric's expansion (``|x|^2`` for L2,
+    ``1/|x|`` for cosine) is stored beside the vectors in CSR order, so
+    a bucket probe is one GEMM on a view plus one broadcast
+    (:class:`~repro.index.kernels.GemmScan`).
     """
 
     index_type = "IVF_FLAT"
 
-    def __init__(self, dim: int, **kwargs):
-        super().__init__(dim, **kwargs)
-        self.kernel_cache = NormCache()
+    def _encode(self, vectors: np.ndarray) -> np.ndarray:
+        return np.asarray(vectors, dtype=np.float32)
 
-    def _add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        super()._add(vectors, ids)
-        self.kernel_cache.invalidate()
+    def _row_terms(self, codes: np.ndarray) -> RowTerms:
+        return (kernels.row_term(self.metric.name, squared_norms(codes)),)
 
-    def _encode(self, vectors: np.ndarray, list_no: int) -> np.ndarray:
-        return vectors.astype(np.float32, copy=True)
+    def _begin_scan(self, queries: np.ndarray, snap: ListsSnapshot):
+        if self.metric.name not in kernels.GEMM_METRICS:
+            return super()._begin_scan(queries, snap)
+        return kernels.GemmScan(self.metric.name, queries, snap.codes, *snap.terms)
 
-    def _scan_list(
-        self,
-        queries: np.ndarray,
-        codes: np.ndarray,
-        list_no: int,
-        ctx=None,
-        qidx: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        profile_count("distance_evals", len(queries) * len(codes))
-        profile_count("bytes_read", len(queries) * codes.nbytes)
-        if self.lists.is_compacted_block(list_no, codes):
-            if self.metric.name == "l2":
-                norms = self.kernel_cache.squared_norms(list_no, codes)
-                return l2_squared_pairwise(queries, codes, data_sq_norms=norms)
-            if self.metric.name == "cosine":
-                unit = self.kernel_cache.unit_rows(list_no, codes)
-                return cosine_pairwise(queries, codes, data_unit=unit)
+    def _scan_list(self, queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
         return self.metric.pairwise(queries, codes)
-
-    def memory_bytes(self) -> int:
-        return super().memory_bytes() + self.kernel_cache.memory_bytes()

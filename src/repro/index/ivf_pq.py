@@ -6,9 +6,10 @@ sub-space" (Jégou et al., TPAMI 2011).  Search uses asymmetric
 distance computation (ADC): per query, a lookup table of
 sub-distances is built and bucket scans reduce to table gathers.
 
-On the kernel path the tables are built once per query *batch*
-(:class:`~repro.index.kernels.PQScanContext`) and buckets are scored
-with the blocked flat-LUT fast-scan kernel; :class:`IVFOPQIndex` adds
+On the kernel path the tables are built once per request
+(:class:`~repro.index.kernels.AdcScan`) and buckets are scored with
+the blocked flat-LUT fast-scan kernel over flat LUT indices stored
+beside the codes in CSR order; :class:`IVFOPQIndex` adds
 a trained orthogonal rotation (OPQ) in front of the codec.
 """
 
@@ -19,9 +20,8 @@ from typing import Optional
 import numpy as np
 
 from repro.index import kernels
-from repro.index.ivf_common import IVFIndexBase
+from repro.index.ivf_common import IVFIndexBase, ListsSnapshot, RowTerms
 from repro.index.kmeans import KMeans
-from repro.obs.profile import profile_count
 from repro.utils import ensure_matrix, ensure_positive
 
 
@@ -160,54 +160,28 @@ class IVFPQIndex(IVFIndexBase):
         if self.metric.name not in ("l2", "ip", "cosine"):
             raise ValueError(f"{self.index_type} does not support metric {self.metric.name!r}")
         self.pq = ProductQuantizer(dim, m=m, nbits=nbits, seed=seed)
-        #: per-bucket flat LUT-index cache (``flat_code_indices``);
-        #: appends mutate buckets, so ``_add`` invalidates wholesale.
-        self.kernel_cache = kernels.CodeCache()
 
     def _train_fine(self, vectors: np.ndarray) -> None:
         self.pq.train(vectors)
-
-    def _add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        super()._add(vectors, ids)
-        self.kernel_cache.invalidate()
-
-    def _warm_list(self, list_no: int, codes: np.ndarray) -> None:
-        self.kernel_cache.get(
-            "pqflat", list_no, lambda: kernels.flat_code_indices(codes, self.pq.ksub)
-        )
 
     def _codec_space(self, queries: np.ndarray) -> np.ndarray:
         """Hook: map rows (queries or data) into the codec's space (OPQ rotates)."""
         return queries
 
-    def _encode(self, vectors: np.ndarray, list_no: int) -> np.ndarray:
+    def _encode(self, vectors: np.ndarray) -> np.ndarray:
         return self.pq.encode(self._codec_space(vectors))
 
-    def _begin_scan(self, queries: np.ndarray):
-        # ADC tables for the whole batch, flattened for the blocked
+    def _row_terms(self, codes: np.ndarray) -> RowTerms:
+        return (kernels.flat_code_indices(codes, self.pq.ksub),)
+
+    def _begin_scan(self, queries: np.ndarray, snap: ListsSnapshot):
+        # ADC tables for the whole request, flattened for the blocked
         # fast-scan kernel — built once, reused by every bucket probe.
-        return kernels.PQScanContext.build(
-            self.pq, self._codec_space(queries), self.metric.name
+        return kernels.AdcScan(
+            self.pq, self._codec_space(queries), self.metric.name, *snap.terms
         )
 
-    def _scan_list(
-        self,
-        queries: np.ndarray,
-        codes: np.ndarray,
-        list_no: int,
-        ctx=None,
-        qidx: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        profile_count("distance_evals", len(queries) * len(codes))
-        # Code bytes gathered for this scan: each probing query walks
-        # the bucket's (n, m) uint8 code block once.
-        profile_count("bytes_read", len(queries) * codes.nbytes)
-        if ctx is not None:
-            if self.lists.is_compacted_block(list_no, codes):
-                return ctx.scan(
-                    codes, qidx, cache=self.kernel_cache, cache_key=list_no
-                )
-            return ctx.scan(codes, qidx)
+    def _scan_list(self, queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
         tables = self.pq.build_tables(self._codec_space(queries), self.metric.name)
         return ProductQuantizer.adc_scan(tables, codes)
 
@@ -218,7 +192,7 @@ class IVFPQIndex(IVFIndexBase):
         total = super().memory_bytes()
         if self.pq.codebooks is not None:
             total += self.pq.codebooks.nbytes
-        return total + self.kernel_cache.memory_bytes()
+        return total
 
 
 class IVFOPQIndex(IVFPQIndex):

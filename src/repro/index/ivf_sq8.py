@@ -7,11 +7,10 @@ IVF_FLAT while losing only ~1% recall (footnote 6).
 
 On the kernel path scoring is *decode-free*: decode is affine
 (``v = c * vdiff / 255 + vmin``), so per-query affine correction terms
-(built once per batch in :class:`~repro.index.kernels.SQ8ScanContext`)
-reduce L2/IP/cosine to one GEMM against the uint8 code matrix cast
-once per bucket — no materialized float32 reconstruction.  The cast
-and the decoded squared norms are memoized per bucket
-(:class:`~repro.index.kernels.CodeCache`), invalidated on append.
+(built once per request in :class:`~repro.index.kernels.GemmScan`)
+reduce L2/IP/cosine to one GEMM against the cast code matrix — no
+materialized float32 reconstruction.  The cast and the decoded norms
+are stored beside the codes in CSR order.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.index import kernels
-from repro.index.ivf_common import IVFIndexBase
-from repro.obs.profile import profile_count
+from repro.index.ivf_common import IVFIndexBase, ListsSnapshot, RowTerms
 from repro.utils import ensure_matrix
 
 
@@ -82,64 +80,28 @@ class IVFSQ8Index(IVFIndexBase):
     def __init__(self, dim, metric="l2", nlist=128, kmeans_iters=20, seed=0):
         super().__init__(dim, metric, nlist=nlist, kmeans_iters=kmeans_iters, seed=seed)
         self.sq = ScalarQuantizer()
-        #: per-bucket float32 cast + decoded-norm cache for the
-        #: decode-free kernel; appends mutate buckets, so ``_add``
-        #: invalidates wholesale (same rule as IVF_FLAT's NormCache).
-        self.kernel_cache = kernels.CodeCache()
 
     def _train_fine(self, vectors: np.ndarray) -> None:
         self.sq.train(vectors)
 
-    def _add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        super()._add(vectors, ids)
-        self.kernel_cache.invalidate()
-
-    def _warm_list(self, list_no: int, codes: np.ndarray) -> None:
-        if self.metric.name not in ("l2", "ip", "cosine"):
-            return
-        # Empty-query context: only the query-independent bucket terms
-        # (float32 cast, decoded norms) are computed here.
-        ctx = kernels.SQ8ScanContext(
-            self.sq, np.empty((0, self.dim), dtype=np.float32), self.metric.name
-        )
-        cf = self.kernel_cache.get(
-            "sq8cast", list_no, lambda: ctx.cast_codes(codes)
-        )
-        if self.metric.name != "ip":
-            self.kernel_cache.get(
-                "sq8sqnorm", list_no, lambda: ctx.decoded_sqnorms(cf)
-            )
-
-    def _encode(self, vectors: np.ndarray, list_no: int) -> np.ndarray:
+    def _encode(self, vectors: np.ndarray) -> np.ndarray:
         return self.sq.encode(vectors)
 
-    def _begin_scan(self, queries: np.ndarray):
-        if self.metric.name not in ("l2", "ip", "cosine"):
-            return None
-        return kernels.SQ8ScanContext(self.sq, queries, self.metric.name)
+    def _row_terms(self, codes: np.ndarray) -> RowTerms:
+        cast = codes.astype(np.float32)
+        sq_norms = kernels.sq8_decoded_sqnorms(self.sq, cast)
+        return (cast, kernels.row_term(self.metric.name, sq_norms))
 
-    def _scan_list(
-        self,
-        queries: np.ndarray,
-        codes: np.ndarray,
-        list_no: int,
-        ctx=None,
-        qidx: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        profile_count("distance_evals", len(queries) * len(codes))
-        # Code bytes gathered: each probing query walks the bucket's
-        # (n, dim) uint8 block once.
-        profile_count("bytes_read", len(queries) * codes.nbytes)
-        if ctx is not None:
-            if self.lists.is_compacted_block(list_no, codes):
-                return ctx.scan(
-                    codes, qidx, cache=self.kernel_cache, cache_key=list_no
-                )
-            return ctx.scan(codes, qidx)
+    def _begin_scan(self, queries: np.ndarray, snap: ListsSnapshot):
+        if self.metric.name not in kernels.GEMM_METRICS:
+            return super()._begin_scan(queries, snap)
+        return kernels.GemmScan(
+            self.metric.name, queries, *snap.terms,
+            scale=self.sq.vdiff / 255.0, shift=self.sq.vmin,
+        )
+
+    def _scan_list(self, queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
         return self.metric.pairwise(queries, self.sq.decode(codes))
 
     def row_code_bytes(self) -> int:
         return self.dim
-
-    def memory_bytes(self) -> int:
-        return super().memory_bytes() + self.kernel_cache.memory_bytes()

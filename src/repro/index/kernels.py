@@ -15,11 +15,13 @@ shapes this module reproduces in numpy:
   in cache.  The block size trades gather-temp size against python
   overhead; ``benchmarks/bench_ablation_kernels.py`` sweeps it.
 
-* **Per-query-batch table reuse** — :class:`PQScanContext` /
-  :class:`SQ8ScanContext` are built once per search batch by
-  ``IVFIndexBase._begin_scan`` and threaded through every bucket scan,
-  so ADC tables (PQ) and affine query terms (SQ8) are never rebuilt
-  per probed bucket (previously ``nprobe`` x redundant work).
+* **Per-request query terms** — :class:`AdcScan` / :class:`GemmScan`
+  are built once per search by ``IVFIndexBase._begin_scan`` and used
+  for every bucket of the request, so ADC tables (PQ) and the
+  query-side factors of the L2/IP/cosine expansions (IVF_FLAT, SQ8)
+  are never rebuilt per probed bucket.  They return *keyed* scores
+  (lower is better, per-query constants dropped), which is what lets
+  the probe prune with a compare instead of a per-bucket top-k.
 
 * **Decode-free SQ8 scoring** — SQ8 decode is affine,
   ``v = a * c + b`` with ``a = vdiff / 255`` and ``b = vmin``, so every
@@ -30,10 +32,10 @@ shapes this module reproduces in numpy:
   - ``|v|^2  = (a^2) . c^2 + 2 (a*b) . c + |b|^2``  (query-independent)
   - ``L2     = |q|^2 - 2 q.v + |v|^2``,  ``cosine = q.v / (|q| |v|)``
 
-  The per-bucket terms (the float32 cast of the uint8 codes and the
-  decoded squared norms) depend only on immutable bucket contents and
-  are memoized in a :class:`CodeCache`, so repeated probes of one
-  bucket cost exactly one GEMM.
+  The row-side terms (the float32 cast of the uint8 codes and the
+  decoded norms) depend only on the stored codes and live beside them
+  in the index's CSR arrays, so a bucket probe is one GEMM on a view.
+  IVF_FLAT is the same kernel with ``a = 1, b = 0``.
 
 * **OPQ** — :func:`train_opq_rotation` learns an orthogonal rotation
   ``R`` minimizing PQ reconstruction error by alternating codebook
@@ -50,15 +52,11 @@ blocked-LUT block size (default :data:`DEFAULT_BLOCK`).
 from __future__ import annotations
 
 import os
-import threading
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.metrics.dense import l2_from_expansion, unit_rows
-from repro.obs import get_obs
-from repro.obs.profile import profile_count
-from repro.utils.sanitizer import maybe_sanitize
+from repro.metrics.dense import unit_rows
 
 __all__ = [
     "DEFAULT_BLOCK",
@@ -66,9 +64,12 @@ __all__ = [
     "kernel_block_size",
     "flatten_tables",
     "adc_scan_blocked",
-    "PQScanContext",
-    "SQ8ScanContext",
-    "CodeCache",
+    "adc_scan_flat",
+    "AdcScan",
+    "GEMM_METRICS",
+    "GemmScan",
+    "row_term",
+    "sq8_decoded_sqnorms",
     "train_opq_rotation",
 ]
 
@@ -131,19 +132,29 @@ def adc_scan_blocked(
     codes: np.ndarray,
     ksub: int,
     block: Optional[int] = None,
-    flat_codes: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Blocked fast-scan ADC: ``(nq, m*ksub)`` x ``(n, m)`` -> ``(nq, n)``.
 
-    Codes are offset once to flat LUT indices (precomputed
-    ``flat_codes`` skips that pass), then each block of sub-quantizers
-    is scored with a single gather + sum.  When the block size is left
-    unpinned and the full-width gather temp is small
-    (:data:`FUSED_GATHER_ELEMS`), all ``m`` sub-quantizers are scored
-    in one gather.  Equivalent to :meth:`ProductQuantizer.adc_scan` up
-    to float summation order.
+    Offsets the codes to flat LUT indices, then :func:`adc_scan_flat`.
+    Equivalent to :meth:`ProductQuantizer.adc_scan` up to float
+    summation order.
     """
-    n, m = codes.shape
+    return adc_scan_flat(tables_flat, flat_code_indices(codes, ksub), block)
+
+
+def adc_scan_flat(
+    tables_flat: np.ndarray,
+    flat_codes: np.ndarray,
+    block: Optional[int] = None,
+) -> np.ndarray:
+    """ADC over precomputed flat LUT indices ``(n, m)`` -> ``(nq, n)``.
+
+    Each block of sub-quantizers is scored with a single gather + sum.
+    When the block size is left unpinned and the full-width gather temp
+    is small (:data:`FUSED_GATHER_ELEMS`), all ``m`` sub-quantizers are
+    scored in one gather.
+    """
+    n, m = flat_codes.shape
     nq = tables_flat.shape[0]
     if block is None:
         block = kernel_block_size()
@@ -152,8 +163,6 @@ def adc_scan_blocked(
             and nq * n * m <= FUSED_GATHER_ELEMS
         ):
             block = m
-    if flat_codes is None:
-        flat_codes = flat_code_indices(codes, ksub)
     if block >= m:
         return tables_flat[:, flat_codes].sum(axis=2, dtype=np.float32)
     out = np.zeros((nq, n), dtype=np.float32)
@@ -163,201 +172,151 @@ def adc_scan_blocked(
     return out
 
 
-class PQScanContext:
-    """Per-query-batch PQ scan state: flat ADC LUTs built exactly once.
+class AdcScan:
+    """Per-request PQ scan state: flat ADC LUTs built exactly once.
 
-    Built by ``IVFPQIndex._begin_scan`` and threaded through every
-    bucket scan of the batch; ``qidx`` selects the LUT rows of the
-    queries probing a particular bucket.
+    Scores are *keyed* — lower is better for every metric — so the
+    probe can prune with one ``<=``: similarity tables are negated once
+    here and :meth:`final` flips the few surviving scores back.
+    ``flat_codes`` is the index's whole CSR array of flat LUT indices
+    (:func:`flat_code_indices`); ``rows`` selects a bucket's range.
     """
 
-    __slots__ = ("tables_flat", "ksub", "block")
+    __slots__ = ("tables_flat", "flat_codes", "negated")
 
-    def __init__(self, tables_flat: np.ndarray, ksub: int, block: Optional[int] = None):
-        self.tables_flat = tables_flat
-        self.ksub = ksub
-        # None defers to adc_scan_blocked's size-adaptive choice.
-        self.block = block
+    def __init__(self, pq, queries: np.ndarray, metric_name: str,
+                 flat_codes: np.ndarray):
+        tables = flatten_tables(pq.build_tables(queries, metric_name))
+        self.negated = metric_name != "l2"
+        self.tables_flat = -tables if self.negated else tables
+        self.flat_codes = flat_codes
 
-    @classmethod
-    def build(cls, pq, queries: np.ndarray, metric_name: str) -> "PQScanContext":
-        tables = pq.build_tables(queries, metric_name)
-        return cls(flatten_tables(tables), pq.ksub)
+    def keyed(self, rows, qidx: np.ndarray) -> np.ndarray:
+        scores = adc_scan_flat(self.tables_flat[qidx], self.flat_codes[rows])
+        return np.ascontiguousarray(scores.T)
 
-    def scan(
+    def final(self, qidx: np.ndarray, keyed: np.ndarray) -> np.ndarray:
+        return -keyed if self.negated else keyed
+
+
+# -- one-GEMM scans: raw float rows and decode-free SQ8 ---------------------
+
+#: metrics with a GEMM form; any other dense metric is scored through
+#: ``Metric.pairwise`` by the fine quantizer's reference scorer.
+GEMM_METRICS = ("l2", "ip", "cosine")
+
+
+def row_term(metric_name: str, sq_norms: np.ndarray) -> Optional[np.ndarray]:
+    """The query-independent per-row term a :class:`GemmScan` needs.
+
+    ``|x|^2`` for L2 (added to the GEMM), ``1/|x|`` for cosine
+    (multiplied in; zero rows get 0 so they score 0, never NaN),
+    nothing for inner product.  Stored beside the codes in CSR order.
+    """
+    if metric_name == "l2":
+        return sq_norms
+    if metric_name == "cosine":
+        return np.divide(
+            1.0, np.sqrt(sq_norms), out=np.zeros_like(sq_norms),
+            where=sq_norms > 0,
+        )
+    return None
+
+
+def sq8_decoded_sqnorms(sq, cast: np.ndarray) -> np.ndarray:
+    """``|a * c + b|^2`` per row, straight from the cast codes.
+
+    Per dimension the expansion a^2 c^2 + 2abc + b^2 = (ac + b)^2
+    cancels catastrophically in float32 when |ac + b| << |b|, so it is
+    accumulated in float64.  The finished norm fits float32, and
+    keeping it narrow keeps the per-scan broadcasting against the
+    (nq, n) score matrix in float32.
+    """
+    a = (sq.vdiff / 255.0).astype(np.float64)
+    b = sq.vmin.astype(np.float64)
+    t = (
+        np.einsum("ij,ij,j->i", cast, cast, a * a, dtype=np.float64)
+        + cast @ (2.0 * a * b)
+        + float(b @ b)
+    )
+    return t.astype(np.float32)
+
+
+class GemmScan:
+    """Per-request scan state for metrics that reduce to one GEMM.
+
+    Rows are ``v = scale * c + shift`` for stored float32 ``data`` rows
+    ``c`` — raw vectors (IVF_FLAT: no scale/shift) or cast SQ8 codes
+    (``scale = vdiff/255``, ``shift = vmin``), so SQ8 is scored without
+    ever materializing a float32 reconstruction:
+
+    * ``q . v = (q * scale) . c + q . shift``
+    * ``L2    = |q|^2 - 2 q.v + |v|^2``,  ``cosine = q.v / (|q| |v|)``
+
+    Everything that depends on the query alone is computed once here;
+    what depends on the row alone (:func:`row_term`) is stored with the
+    index.  :meth:`keyed` then costs one GEMM on a CSR view plus one
+    broadcast, and returns scores *keyed* so that lower is better and
+    per-query constants are left out (they cannot change a query's
+    ranking); :meth:`final` restores real scores for the survivors.
+    """
+
+    __slots__ = ("lhs", "data", "q_add", "row_add", "row_scale", "q_const", "l2")
+
+    def __init__(
         self,
-        codes: np.ndarray,
-        qidx: Optional[np.ndarray] = None,
-        cache: Optional["CodeCache"] = None,
-        cache_key: Optional[Hashable] = None,
-    ) -> np.ndarray:
-        flat = None
-        if cache is not None and cache_key is not None:
-            flat = cache.get(
-                "pqflat", cache_key, lambda: flat_code_indices(codes, self.ksub)
-            )
-        tables = self.tables_flat if qidx is None else self.tables_flat[qidx]
-        return adc_scan_blocked(tables, codes, self.ksub, self.block, flat_codes=flat)
-
-
-# -- per-bucket kernel-term cache ------------------------------------------
-
-
-class CodeCache:
-    """Memoized per-bucket kernel terms over immutable bucket contents.
-
-    Same contract and lock discipline as
-    :class:`~repro.exec.normcache.NormCache` (strict-leaf lock, role
-    ``"normcache"``; compute outside the lock, benign double-compute on
-    concurrent miss) but generic in what it memoizes: the SQ8 scan
-    caches the float32 cast of a bucket's uint8 codes and the decoded
-    squared norms.  Owners call :meth:`invalidate` whenever bucket
-    contents mutate (IVF ``_add``).
-    """
-
-    _GUARDED_BY = {"_entries": "_lock"}
-
-    def __init__(self):
-        self._lock = maybe_sanitize(threading.Lock(), "normcache")
-        self._entries: Dict[Tuple[str, Hashable], np.ndarray] = {}
-
-    def get(
-        self, kind: str, key: Hashable, compute: Callable[[], np.ndarray]
-    ) -> np.ndarray:
-        full_key = (kind, key)
-        with self._lock:
-            value = self._entries.get(full_key)
-        registry = get_obs().registry
-        if value is not None:
-            registry.counter("normcache_hits_total", kind=kind).inc()
-            profile_count("normcache_hits")
-            return value
-        value = compute()
-        with self._lock:
-            self._entries[full_key] = value
-        registry.counter("normcache_misses_total", kind=kind).inc()
-        profile_count("normcache_misses")
-        return value
-
-    def invalidate(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def memory_bytes(self) -> int:
-        with self._lock:
-            return sum(v.nbytes for v in self._entries.values())
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-# -- decode-free SQ8 scanning ----------------------------------------------
-
-
-class SQ8ScanContext:
-    """Per-query-batch affine terms for decode-free SQ8 scoring.
-
-    With decode ``v = a * c + b`` (``a = vdiff/255``, ``b = vmin``) and
-    code matrix ``C`` (uint8, cast to float32 once per bucket):
-
-    * query-side, built once per batch: ``qa = q * a`` (``q`` unit-
-      normalized first for cosine), ``qb = q . b``, ``|q|^2`` (L2);
-    * bucket-side, cached per bucket: ``Cf = float32(C)`` and the
-      decoded squared norms ``t_j = |a*C_j + b|^2`` computed by einsum
-      without materializing the reconstruction.
-
-    Every metric then reduces to one GEMM ``qa @ Cf.T`` plus rank-one
-    corrections — no float32 decode of the bucket, ever.
-    """
-
-    __slots__ = ("metric_name", "qa", "qb", "q_sqnorms", "a", "a_sq", "ab2", "b_sq")
-
-    def __init__(self, sq, queries: np.ndarray, metric_name: str):
-        if metric_name not in ("l2", "ip", "cosine"):
-            raise ValueError(f"SQ8 kernel does not support metric {metric_name!r}")
-        self.metric_name = metric_name
-        a = (sq.vdiff / 255.0).astype(np.float32)
-        b = sq.vmin.astype(np.float32)
-        self.a = a
-        self.a_sq = a * a
-        # Per-dimension the expansion a^2 c^2 + 2abc + b^2 = (ac + b)^2
-        # cancels catastrophically in float32 when |ac + b| << |b|, so
-        # the (cached, query-independent) norm terms run in float64.
-        self.ab2 = (2.0 * a * b).astype(np.float64)
-        self.b_sq = float(b.astype(np.float64) @ b.astype(np.float64))
+        metric_name: str,
+        queries: np.ndarray,
+        data: np.ndarray,
+        term: Optional[np.ndarray],
+        scale: Optional[np.ndarray] = None,
+        shift: Optional[np.ndarray] = None,
+    ):
+        if metric_name not in GEMM_METRICS:
+            raise ValueError(f"no GEMM form for metric {metric_name!r}")
         q = np.asarray(queries, dtype=np.float32)
         if metric_name == "cosine":
             q = unit_rows(q)
-        self.qa = q * a[np.newaxis, :]
-        self.qb = q @ b
-        if metric_name == "l2":
-            self.q_sqnorms = np.einsum("ij,ij->i", q, q)
+        qa = q if scale is None else q * scale.astype(np.float32)
+        qb = None if shift is None else q @ shift.astype(np.float32)
+        self.data = data
+        self.l2 = metric_name == "l2"
+        self.q_add = self.row_add = self.row_scale = None
+        self.q_const = np.zeros(len(q), dtype=np.float32)
+        if self.l2:
+            self.lhs = -2.0 * qa
+            self.row_add = term[:, np.newaxis]
+            self.q_const = np.einsum("ij,ij->i", q, q)
+            if qb is not None:
+                self.q_const -= 2.0 * qb
         else:
-            self.q_sqnorms = None
+            self.lhs = -qa
+            if metric_name == "cosine":
+                self.row_scale = term[:, np.newaxis]
+                self.q_add = None if qb is None else -qb
+            elif qb is not None:
+                self.q_const = qb
 
-    # -- bucket-side terms -------------------------------------------------
+    def keyed(self, rows, qidx: np.ndarray) -> np.ndarray:
+        """Keyed scores ``(rows, queries)``; ``rows`` is a CSR slice (a
+        view, no copy) or an array of CSR positions.  Rows on the left:
+        at bucket-sized operands this GEMM orientation is ~1.5x the
+        speed of queries-on-the-left."""
+        out = self.data[rows] @ self.lhs[qidx].T
+        if self.q_add is not None:
+            out += self.q_add[qidx]
+        if self.row_add is not None:
+            out += self.row_add[rows]
+        elif self.row_scale is not None:
+            out *= self.row_scale[rows]
+        return out
 
-    def cast_codes(self, codes: np.ndarray) -> np.ndarray:
-        return codes.astype(np.float32)
-
-    def decoded_sqnorms(self, cf: np.ndarray) -> np.ndarray:
-        """``|a * c + b|^2`` per row, straight from the cast codes.
-
-        Accumulated in float64 (see ``__init__``) but stored float32:
-        only the *accumulation* of the expansion cancels; the finished
-        norm fits float32, and keeping it narrow keeps the per-scan
-        broadcasting against the (nq, n) score matrix in float32.
-        """
-        t = (
-            np.einsum("ij,ij,j->i", cf, cf, self.a_sq, dtype=np.float64)
-            + cf @ self.ab2
-            + self.b_sq
-        )
-        return t.astype(np.float32)
-
-    # -- scoring -----------------------------------------------------------
-
-    def scan(
-        self,
-        codes: np.ndarray,
-        qidx: Optional[np.ndarray] = None,
-        cache: Optional[CodeCache] = None,
-        cache_key: Optional[Hashable] = None,
-    ) -> np.ndarray:
-        """Score the batch rows ``qidx`` against one bucket's codes.
-
-        ``cache``/``cache_key`` memoize the bucket-side terms for a
-        full (compacted, unfiltered) bucket; filtered subsets are cast
-        directly.
-        """
-        if cache is not None and cache_key is not None:
-            cf = cache.get("sq8cast", cache_key, lambda: self.cast_codes(codes))
-            if self.metric_name != "ip":
-                t = cache.get(
-                    "sq8sqnorm", cache_key, lambda: self.decoded_sqnorms(cf)
-                )
-            else:
-                t = None
-        else:
-            cf = self.cast_codes(codes)
-            t = self.decoded_sqnorms(cf) if self.metric_name != "ip" else None
-
-        qa = self.qa if qidx is None else self.qa[qidx]
-        qb = self.qb if qidx is None else self.qb[qidx]
-        dots = qa @ cf.T + qb[:, np.newaxis]  # q . decode(c), decode-free
-        if self.metric_name == "ip":
-            return dots
-        if self.metric_name == "l2":
-            q_sq = self.q_sqnorms if qidx is None else self.q_sqnorms[qidx]
-            return l2_from_expansion(q_sq[:, np.newaxis], dots, t[np.newaxis, :])
-        # cosine: queries are unit rows already; normalize the data side
-        # by the decoded norms, zero rows scoring 0 (never NaN).
-        vnorm = np.sqrt(t)[np.newaxis, :]
-        return np.divide(
-            dots, vnorm, out=np.zeros(dots.shape, dtype=np.float32),
-            where=vnorm > 0,
-        )
+    def final(self, qidx: np.ndarray, keyed: np.ndarray) -> np.ndarray:
+        """Real metric scores from keyed ones (``qidx`` broadcastable)."""
+        if self.l2:
+            # rounding in the expansion can produce tiny negatives
+            return np.maximum(keyed + self.q_const[qidx], 0.0)
+        return self.q_const[qidx] - keyed
 
 
 # -- OPQ: optimized product quantization rotation --------------------------

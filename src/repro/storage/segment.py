@@ -270,19 +270,29 @@ class Segment:
             if raw.k == k:
                 return raw
             return SearchResult(raw.ids[:, :k], raw.scores[:, :k])
+        # Drop tombstoned hits and close the gaps, every query at once.
+        # A query's scan of its best-first row stops at the first pad or
+        # once k live hits are kept; only tombstones met before that
+        # point count as pruned.  The block is k + len(exclude) wide and
+        # the stop is usually near k, so look at a prefix and double it
+        # until every query has stopped inside it.
+        width = k
+        while True:
+            width = min(2 * width, raw.k)
+            ids = raw.ids[:, :width]
+            valid = np.logical_and.accumulate(ids >= 0, axis=1)
+            dead = valid & _sorted_isin(ids.ravel(), exclude).reshape(ids.shape)
+            live = valid & ~dead
+            stopped = (live.sum(axis=1) >= k) | ~valid[:, -1]
+            if width == raw.k or stopped.all():
+                break
+        slot = np.cumsum(live, axis=1) - live  # live hits kept before this one
+        tombstoned = int((dead & (slot < k)).sum())
+        live &= slot < k
+        rows, cols = np.nonzero(live)[0], slot[live]
         out = SearchResult.empty(len(queries), k, metric)
-        tombstoned = 0
-        for qi in range(len(queries)):
-            kept = 0
-            for item_id, score in zip(raw.ids[qi], raw.scores[qi]):
-                if item_id < 0 or kept >= k:
-                    break
-                if _sorted_contains(exclude, item_id):
-                    tombstoned += 1
-                    continue
-                out.ids[qi, kept] = item_id
-                out.scores[qi, kept] = score
-                kept += 1
+        out.ids[rows, cols] = ids[live]
+        out.scores[rows, cols] = raw.scores[:, :width][live]
         node = current_node()
         if node is not None and tombstoned:
             node.count("candidates_pruned", tombstoned)
@@ -428,8 +438,3 @@ def _sorted_isin(values: np.ndarray, sorted_ref: np.ndarray) -> np.ndarray:
 def _sorted_isin_unsorted(values: np.ndarray, sorted_ref: np.ndarray) -> np.ndarray:
     """Membership of arbitrary-order ``values`` in sorted ``sorted_ref``."""
     return _sorted_isin(values, sorted_ref)
-
-
-def _sorted_contains(sorted_arr: np.ndarray, value: int) -> bool:
-    pos = int(np.searchsorted(sorted_arr, value))
-    return pos < len(sorted_arr) and sorted_arr[pos] == value

@@ -185,19 +185,27 @@ class TestCluster:
         assert 0 < res.simulated_parallel_seconds <= res.wall_seconds + 1e-9
 
     def test_scaling_reduces_parallel_time(self):
-        """Fig. 10b's mechanism: more readers -> smaller shards -> faster."""
+        """Fig. 10b's mechanism: more readers -> smaller shards -> faster.
+
+        A query's simulated parallel time is its slowest reader's scan,
+        and a FLAT reader's scan is linear in its rows; so the claim is
+        asserted on the largest shard's row count, which is
+        deterministic, not on two ~15 ms wall-clock readings.
+        """
         data = sift_like(6000, dim=16, seed=4)
         queries = random_queries(data, 20, seed=5)
-        times = {}
+        largest = {}
         for n in (1, 4):
             cluster = MilvusCluster(n, dim=16, index_type="FLAT")
             cluster.insert(np.arange(len(data)), data)
             cluster.sync()
-            cluster.search(queries, 10)  # warm-up
-            # Best-of-3: single sub-millisecond measurements are jittery
-            # enough on shared machines to flip the comparison.
-            times[n] = min(
-                cluster.search(queries, 10).simulated_parallel_seconds
-                for __ in range(3)
-            )
-        assert times[4] < times[1]
+            sizes = cluster.shard_sizes()
+            assert len(sizes) == n and sum(sizes.values()) == len(data)
+            largest[n] = max(sizes.values())
+            res = cluster.search(queries, 10)
+            assert res.simulated_parallel_seconds > 0
+        assert largest[1] == len(data)
+        # consistent hashing is not perfectly even: well under the whole
+        # collection, and within 2x of the ideal quarter
+        assert largest[4] < largest[1] / 2
+        assert largest[4] <= 2 * len(data) / 4

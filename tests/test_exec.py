@@ -400,17 +400,26 @@ class TestNormCache:
         assert cache.squared_norms("f", data) is not first
 
     def test_ivf_add_invalidates_bucket_cache(self):
+        """Rows added after a search are found, and scored with their
+        own norms: the stored ``|x|^2`` terms follow the rows."""
         rng = np.random.default_rng(5)
         data = rng.random((300, 8)).astype(np.float32)
+        data[200:] *= 3.0  # late rows have very different norms
         index = IVFFlatIndex(8, nlist=4)
         index.train(data)
         index.add(data[:200], ids=np.arange(200))
-        queries = rng.random((3, 8)).astype(np.float32)
-        index.search(queries, 5, nprobe=4)
-        assert len(index.kernel_cache) > 0
+        queries = data[[250, 299, 10]]
+        before = index.search(queries, 5, nprobe=4)
+        assert (before.ids < 200).all()
         index.add(data[200:], ids=np.arange(200, 300))
-        assert len(index.kernel_cache) == 0  # stale norms dropped
         res = index.search(queries, 5, nprobe=4)
+        # each query row is now its own nearest neighbour, at distance 0
+        assert res.ids[:, 0].tolist() == [250, 299, 10]
+        assert np.allclose(res.scores[:, 0], 0.0, atol=1e-3)
+        exact = ((data[None, :, :] - queries[:, None, :]) ** 2).sum(-1)
+        assert np.array_equal(res.ids, np.argsort(exact, axis=1)[:, :5])
+        assert np.allclose(res.scores, np.sort(exact, axis=1)[:, :5],
+                           rtol=1e-4, atol=1e-3)
         # Post-add search over all rows matches a fresh identical index.
         fresh = IVFFlatIndex(8, nlist=4)
         fresh.train(data)
@@ -419,8 +428,9 @@ class TestNormCache:
         assert np.array_equal(res.ids, fres.ids)
 
     def test_filtered_scan_skips_cache_but_matches(self):
-        """row_filter slices codes into a fresh array: scored directly,
-        and the cached full-bucket path must agree on the overlap."""
+        """row_filter gathers a bucket's admissible rows (and their
+        stored norms); the full-bucket view path must agree on the
+        overlap."""
         rng = np.random.default_rng(13)
         data = rng.random((400, 8)).astype(np.float32)
         index = IVFFlatIndex(8, nlist=4)

@@ -119,6 +119,21 @@ class TestBlockedADC:
 # -- decode-free SQ8 kernel ------------------------------------------------
 
 
+def _sq8_scan(sq, codes, queries, metric):
+    """The decode-free scan state the way IVF_SQ8 builds it."""
+    cast = codes.astype(np.float32)
+    term = kernels.row_term(metric, kernels.sq8_decoded_sqnorms(sq, cast))
+    return kernels.GemmScan(
+        metric, queries, cast, term, scale=sq.vdiff / 255.0, shift=sq.vmin
+    )
+
+
+def _scores(scan, nq, rows=slice(None), qidx=None):
+    """Real scores (queries, rows) from a scan state's keyed blocks."""
+    qidx = np.arange(nq) if qidx is None else qidx
+    return scan.final(qidx, scan.keyed(rows, qidx)).T
+
+
 class TestDecodeFreeSQ8:
     @pytest.mark.parametrize("metric", METRICS)
     def test_matches_decoded_reference(self, metric, rng):
@@ -129,8 +144,7 @@ class TestDecodeFreeSQ8:
         sq = ScalarQuantizer().train(data)
         codes = sq.encode(data)
         queries = rng.normal(size=(5, 12)).astype(np.float32)
-        ctx = kernels.SQ8ScanContext(sq, queries, metric)
-        got = ctx.scan(codes)
+        got = _scores(_sq8_scan(sq, codes, queries, metric), 5)
         want = get_metric(metric).pairwise(queries, sq.decode(codes))
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-3)
 
@@ -144,44 +158,71 @@ class TestDecodeFreeSQ8:
         codes = sq.encode(data)
         queries = rng.normal(size=(1, 8)).astype(np.float32)
         for metric in METRICS:
-            ctx = kernels.SQ8ScanContext(sq, queries, metric)
-            assert ctx.scan(codes[:0]).shape == (1, 0)
-            got = ctx.scan(codes[:1])
+            scan = _sq8_scan(sq, codes, queries, metric)
+            assert _scores(scan, 1, slice(0, 0)).shape == (1, 0)
+            got = _scores(scan, 1, slice(0, 1))
             want = get_metric(metric).pairwise(queries, sq.decode(codes[:1]))
             np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-3)
-        ctx = kernels.SQ8ScanContext(sq, queries, "cosine")
-        decoded0 = sq.decode(codes[:1])
-        scores = ctx.scan(codes[:1])
+        scores = _scores(_sq8_scan(sq, codes, queries, "cosine"), 1, slice(0, 1))
         assert np.isfinite(scores).all()
-        if not decoded0.any():
+        if not sq.decode(codes[:1]).any():
             assert np.isclose(scores[0, 0], 0.0)
 
-    def test_qidx_slices_batch_terms(self, rng):
+    def test_qidx_and_rows_select_blocks(self, rng):
         from repro.index import ScalarQuantizer
 
         data = rng.normal(size=(100, 8)).astype(np.float32)
         sq = ScalarQuantizer().train(data)
         codes = sq.encode(data)
         queries = rng.normal(size=(6, 8)).astype(np.float32)
-        ctx = kernels.SQ8ScanContext(sq, queries, "l2")
+        scan = _sq8_scan(sq, codes, queries, "l2")
+        full = _scores(scan, 6)
         qidx = np.array([4, 1])
-        np.testing.assert_allclose(ctx.scan(codes, qidx), ctx.scan(codes)[qidx])
+        np.testing.assert_allclose(
+            _scores(scan, 6, qidx=qidx), full[qidx], rtol=1e-5, atol=1e-5)
+        # a CSR slice (a view) and a position array (a gather) agree
+        positions = np.array([3, 17, 18, 60])
+        np.testing.assert_allclose(
+            _scores(scan, 6, positions), full[:, positions], rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(
+            _scores(scan, 6, slice(10, 40)), full[:, 10:40], rtol=1e-5, atol=1e-5)
 
-    def test_cache_hit_returns_same_terms(self, rng):
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_flat_rows_are_the_same_kernel(self, metric, rng):
+        """IVF_FLAT is GemmScan with no scale/shift."""
+        from repro.metrics import get_metric
+        from repro.metrics.dense import squared_norms
+
+        data = rng.normal(size=(120, 8)).astype(np.float32)
+        data[3] = 0.0
+        queries = rng.normal(size=(4, 8)).astype(np.float32)
+        scan = kernels.GemmScan(
+            metric, queries, data, kernels.row_term(metric, squared_norms(data)))
+        np.testing.assert_allclose(
+            _scores(scan, 4), get_metric(metric).pairwise(queries, data),
+            rtol=1e-4, atol=1e-4)
+
+    def test_keyed_blocks_are_float32_and_contiguous(self, rng):
+        """The probe's threshold array is float32 and it decodes flat
+        indices into the block: both are part of the keyed() contract."""
         from repro.index import ScalarQuantizer
 
-        data = rng.normal(size=(80, 8)).astype(np.float32)
+        data = rng.normal(size=(64, 8)).astype(np.float32)
         sq = ScalarQuantizer().train(data)
-        codes = sq.encode(data)
         queries = rng.normal(size=(3, 8)).astype(np.float32)
-        ctx = kernels.SQ8ScanContext(sq, queries, "l2")
-        cache = kernels.CodeCache()
-        first = ctx.scan(codes, cache=cache, cache_key=7)
-        assert len(cache) == 2  # cast + sqnorms
-        second = ctx.scan(codes, cache=cache, cache_key=7)
-        np.testing.assert_array_equal(first, second)
-        cache.invalidate()
-        assert len(cache) == 0 and cache.memory_bytes() == 0
+        pq = ProductQuantizer(8, m=2, nbits=4, seed=0).train(data)
+        pq_codes = pq.encode(data)
+        for metric in METRICS:
+            scans = [
+                _sq8_scan(sq, sq.encode(data), queries, metric),
+                kernels.AdcScan(pq, queries, metric,
+                                kernels.flat_code_indices(pq_codes, pq.ksub)),
+            ]
+            for scan in scans:
+                block = scan.keyed(np.array([5, 9, 11, 40]), np.array([2, 0]))
+                assert block.shape == (4, 2)
+                assert block.dtype == np.float32
+                assert block.flags.c_contiguous
 
 
 # -- end-to-end: kernel path vs reference path ------------------------------
@@ -402,15 +443,72 @@ class TestRowBytesPlanning:
         assert pq.row_code_bytes() == 4
 
 
-# -- InvertedLists thread safety --------------------------------------------
+# -- InvertedLists: CSR snapshots under concurrent appends ------------------
 
 
-class TestInvertedListsConcurrency:
-    def test_concurrent_get_compaction(self):
+def _chunk(nlist, labels, first_id, fill):
+    """A bucket-grouped chunk the way ``IVFIndexBase._add`` builds one."""
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    ids = np.arange(first_id, first_id + len(labels), dtype=np.int64)[order]
+    codes = np.full((len(labels), 4), fill, dtype=np.uint8)
+    return np.bincount(labels, minlength=nlist), ids, codes
+
+
+class TestInvertedLists:
+    def test_merge_is_bucket_major_and_insertion_ordered(self):
+        lists = InvertedLists(3)
+        lists.append(*_chunk(3, [2, 0, 2, 1], 0, 1))
+        first = lists.snapshot()
+        lists.append(*_chunk(3, [0, 2, 0], 4, 2))
+        snap = lists.snapshot()
+        assert first is not snap and len(first.ids) == 4  # old image intact
+        np.testing.assert_array_equal(snap.offsets, [0, 3, 4, 7])
+        np.testing.assert_array_equal(snap.ids, [1, 4, 6, 3, 0, 2, 5])
+        np.testing.assert_array_equal(snap.codes[:, 0], [1, 2, 2, 1, 1, 1, 2])
+        assert lists.snapshot() is snap  # published once, then lock-free
+        ids, codes = lists.get(2)
+        np.testing.assert_array_equal(ids, [0, 2, 5])
+        assert np.shares_memory(codes, snap.codes)  # a view, not a copy
+        np.testing.assert_array_equal(lists.sizes(), [3, 1, 3])
+
+    def test_empty_lists(self):
+        lists = InvertedLists(2)
+        assert lists.memory_bytes() == 0
+        ids, codes = lists.get(1)
+        assert len(ids) == 0 and codes is None
+        assert lists.total == 0 and lists.sizes().tolist() == [0, 0]
+
+    def test_positions_of_translates_a_filter(self):
+        lists = InvertedLists(3)
+        lists.append(*_chunk(3, [2, 0, 2, 1, 0], 10, 0))
+        snap = lists.snapshot()  # ids in CSR order: 11 14 | 13 | 10 12
+        np.testing.assert_array_equal(
+            snap.positions_of(np.array([10, 11, 99, 13])), [0, 2, 3])
+        assert len(snap.positions_of(np.empty(0, dtype=np.int64))) == 0
+        np.testing.assert_array_equal(
+            snap.positions_of(np.arange(20)), np.arange(5))
+
+    def test_readers_take_no_lock_once_built(self):
+        lists = InvertedLists(2)
+        lists.append(*_chunk(2, [0, 1, 1], 0, 0))
+        lists.snapshot()
+
+        class Tripwire:
+            def __enter__(self):
+                raise AssertionError("read path took the ivf-lists lock")
+
+            def __exit__(self, *exc):
+                return False
+
+        lists._lock = Tripwire()
+        assert len(lists.get(1)[0]) == 2
+        assert lists.total == 3 and lists.sizes().tolist() == [1, 2]
+
+    def test_concurrent_readers_while_snapshot_is_built(self):
         lists = InvertedLists(1)
         for block in range(40):
-            ids = np.arange(block * 10, block * 10 + 10, dtype=np.int64)
-            lists.append(0, ids, np.full((10, 4), block, dtype=np.uint8))
+            lists.append(*_chunk(1, [0] * 10, block * 10, block))
         errors = []
 
         def reader():
@@ -418,7 +516,6 @@ class TestInvertedListsConcurrency:
                 for __ in range(50):
                     ids, codes = lists.get(0)
                     assert len(ids) == len(codes) == 400
-                    assert lists.is_compacted_block(0, codes)
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -426,38 +523,58 @@ class TestInvertedListsConcurrency:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        assert not errors
+            t.join(timeout=60)
+        assert not errors and not any(t.is_alive() for t in threads)
         ids, codes = lists.get(0)
         np.testing.assert_array_equal(ids, np.arange(400))
+        np.testing.assert_array_equal(codes[:, 0], np.repeat(np.arange(40), 10))
 
     def test_concurrent_append_and_get(self):
+        """8 readers, 4 writers, shortened switch interval: every image
+        a reader sees is whole (ids and codes of the same appends), and
+        no append is lost."""
+        import sys
+
         lists = InvertedLists(4)
         errors = []
 
-        def writer():
+        def writer(w):
             try:
                 for i in range(60):
-                    lists.append(i % 4, np.array([i], dtype=np.int64),
-                                 np.full((1, 4), i % 256, dtype=np.uint8))
+                    # id and code byte are tied, so a torn image shows
+                    lists.append(*_chunk(4, [i % 4], w * 1000 + i, (w * 60 + i) % 251))
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
         def reader():
             try:
                 for __ in range(120):
+                    snap = lists.snapshot()
+                    assert snap.offsets[-1] == len(snap.ids)
+                    if snap.codes is None:
+                        continue
+                    assert len(snap.ids) == len(snap.codes)
+                    w, i = np.divmod(snap.ids, 1000)
+                    np.testing.assert_array_equal(
+                        snap.codes[:, 0], (w * 60 + i) % 251)
                     for ln in range(4):
-                        ids, codes = lists.get(ln)
-                        if codes is not None:
-                            assert len(ids) == len(codes)
+                        ids, __codes = lists.get(ln)
+                        assert ((ids % 1000) % 4 == ln).all()
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
-        threads = [threading.Thread(target=writer) for __ in range(4)]
-        threads += [threading.Thread(target=reader) for __ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
+        threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+        threads += [threading.Thread(target=reader) for __ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
         assert lists.total == 240
+        assert sorted(lists.snapshot().ids.tolist()) == sorted(
+            w * 1000 + i for w in range(4) for i in range(60))

@@ -84,6 +84,55 @@ class TestSegmentSearch:
         assert result.ids[0, 0] != 7
 
 
+def _drop_tombstones_reference(raw, exclude, k):
+    """The per-hit loop ``Segment._search_with_index`` used to run:
+    walk each best-first row, skip tombstones, stop at the first pad or
+    at k kept.  Returns (ids, scores, tombstones met)."""
+    ids = np.full((raw.nq, k), -1, dtype=np.int64)
+    scores = np.full((raw.nq, k), np.inf)
+    tombstoned = 0
+    dead = set(exclude.tolist())
+    for qi in range(raw.nq):
+        kept = 0
+        for item_id, score in zip(raw.ids[qi], raw.scores[qi]):
+            if item_id < 0 or kept >= k:
+                break
+            if int(item_id) in dead:
+                tombstoned += 1
+                continue
+            ids[qi, kept], scores[qi, kept] = item_id, score
+            kept += 1
+    return ids, scores, tombstoned
+
+
+class TestTombstoneCompaction:
+    @pytest.mark.parametrize("n_dead,k,nprobe", [
+        (1, 5, 8), (30, 5, 8), (150, 10, 8), (199, 3, 8), (200, 4, 8),
+        (40, 60, 2),   # k above what two buckets hold: padded rows
+        (25, 1, 1),
+        (5, 250, 8),   # k above the segment's row count
+    ])
+    def test_matches_the_per_hit_loop(self, n_dead, k, nprobe):
+        from repro.obs.profile import QueryProfile
+
+        data = sift_like(200, dim=16, seed=0)
+        segment = make_segment(0, np.arange(200), data, np.zeros(200))
+        segment.build_index("emb", "IVF_FLAT", nlist=8)
+        rng = np.random.default_rng(n_dead)
+        exclude = np.sort(rng.choice(200, n_dead, replace=False)).astype(np.int64)
+        queries = data[rng.choice(200, 6, replace=False)]
+        with QueryProfile("segment") as prof:
+            got = segment.search("emb", queries, k, nprobe=nprobe, exclude=exclude)
+        # what the index is asked for: k plus one slot per tombstone
+        raw = segment.indexes["emb"].search(
+            queries, min(k + n_dead, 200), nprobe=nprobe)
+        ids, scores, tombstoned = _drop_tombstones_reference(raw, exclude, k)
+        np.testing.assert_array_equal(got.ids, ids)
+        np.testing.assert_array_equal(got.scores, scores)
+        assert not np.isin(got.ids, exclude).any()
+        assert prof.total_counters().get("candidates_pruned", 0) == tombstoned
+
+
 class TestSegmentMerge:
     def test_merge_combines_rows(self):
         data = sift_like(100, dim=16, seed=1)
