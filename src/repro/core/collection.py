@@ -6,17 +6,21 @@ Implements the paper's three primitive query types (Sec. 2.1):
 * attribute filtering — :meth:`Collection.search` with ``filter=``;
 * multi-vector query — :meth:`Collection.multi_vector_search`.
 
-Writes follow Sec. 5.1's asynchronous processing: with
-``async_writes=True`` inserts/deletes are acknowledged after the WAL
-write and applied by a background thread; :meth:`flush` blocks until
-every pending operation is applied and flushed, so "users may not
-immediately see the inserted data" until they flush.
+Writes follow Sec. 5.1's "log, then acknowledge":
+:meth:`Collection.insert` and :meth:`Collection.delete` return once
+:class:`~repro.storage.LSMManager` has appended the operation to the
+WAL and applied it to the memtable; sealing into segments is the
+storage engine's business, so "users may not immediately see the
+inserted data" until they :meth:`~Collection.flush`.
+
+Filtered searches are always planned: the collection's calibrated
+:class:`~repro.filtering.cost.AdaptivePlanner` (strategy D of
+Sec. 4.1) picks strategy and knobs per request from the filter's
+selectivity and feeds the executed counters back.
 """
 
 from __future__ import annotations
 
-import os
-import queue
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -29,12 +33,11 @@ from repro.filtering.cost import AdaptivePlanner
 from repro.index.base import SearchResult
 from repro.metrics import get_metric
 from repro.obs import get_obs
-from repro.obs.explain import ExplainedResult, explain_search
+from repro.obs.explain import ExplainedResult, explain_search, filter_section
 from repro.obs.profile import (
     QueryProfile,
     current_node,
     measurement_stage,
-    profile_attr,
     profile_stage,
 )
 from repro.storage import LSMConfig, LSMManager
@@ -55,8 +58,6 @@ class Collection:
         schema: CollectionSchema,
         lsm_config: Optional[LSMConfig] = None,
         fs: Optional[FileSystem] = None,
-        async_writes: bool = False,
-        adaptive: Optional[bool] = None,
     ):
         from repro.storage.categorical import CategoryDictionary
 
@@ -79,24 +80,9 @@ class Collection:
         # declaration styles stay exercised.
         self._next_row_id = 0
         self._id_lock = maybe_sanitize(threading.Lock(), "collection-ids")
-        # Feedback-calibrated filtered-search planning (paper Sec. 4.1
-        # strategy D + online calibration); ``None`` defers to the
-        # REPRO_ADAPTIVE env knob.  The planner itself is built lazily
-        # so a recover() run after construction still seeds it from the
-        # persisted manifest state.
-        self._adaptive = (
-            os.environ.get("REPRO_ADAPTIVE") == "1" if adaptive is None
-            else bool(adaptive)
-        )
+        # Built lazily so a recover() run after construction still
+        # seeds the planner from the persisted manifest state.
         self._planner: Optional[AdaptivePlanner] = None
-        self._async = async_writes
-        self._queue: "queue.Queue" = queue.Queue()
-        self._worker: Optional[threading.Thread] = None
-        if async_writes:
-            self._worker = threading.Thread(
-                target=self._drain_forever, name=f"{schema.name}-writer", daemon=True
-            )
-            self._worker.start()
 
     # -- write path -----------------------------------------------------
 
@@ -110,20 +96,13 @@ class Collection:
         with self._id_lock:
             row_ids = np.arange(self._next_row_id, self._next_row_id + n, dtype=np.int64)
             self._next_row_id += n
-        if self._async:
-            self._queue.put(("insert", row_ids, vectors, attributes, categoricals))
-        else:
-            self._lsm.insert(row_ids, vectors, attributes, categoricals)
+        self._lsm.insert(row_ids, vectors, attributes, categoricals)
         get_obs().usage.record_insert(self.schema.name, n)
         return row_ids
 
     def delete(self, row_ids: Sequence[int]) -> None:
         """Delete entities by row id (out-of-place; visible after flush)."""
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        if self._async:
-            self._queue.put(("delete", row_ids, None, None, None))
-        else:
-            self._lsm.delete(row_ids)
+        self._lsm.delete(np.asarray(row_ids, dtype=np.int64))
 
     def update(self, row_ids: Sequence[int], data: Dict[str, np.ndarray]) -> np.ndarray:
         """Update = delete + insert (paper Sec. 2.3); returns new row ids."""
@@ -132,14 +111,12 @@ class Collection:
         return new_ids
 
     def flush(self) -> None:
-        """Block until all pending writes are applied and flushed (Sec. 5.1)."""
-        if self._async:
-            self._queue.join()
+        """Block until every acknowledged write is flushed (Sec. 5.1)."""
         self._lsm.flush()
         # Calibration learned since the last flush rides the durable
         # manifest, so a restart + recover() resumes a warm planner.
         if self._planner is not None:
-            self._lsm.set_planner_state(self._planner.to_dict(), persist=True)
+            self._lsm.persist_planner_state(self._planner.to_dict())
 
     def _split_payload(self, data: Dict[str, np.ndarray]):
         specs = self.schema.vector_specs()
@@ -184,17 +161,6 @@ class Collection:
             categoricals[name] = self._dictionaries[name].encode(values)
         return vectors, attributes, categoricals, int(n)
 
-    def _drain_forever(self) -> None:
-        while True:
-            kind, row_ids, vectors, attributes, categoricals = self._queue.get()
-            try:
-                if kind == "insert":
-                    self._lsm.insert(row_ids, vectors, attributes, categoricals)
-                elif kind == "delete":
-                    self._lsm.delete(row_ids)
-            finally:
-                self._queue.task_done()
-
     # -- read path ----------------------------------------------------------
 
     def search(
@@ -224,11 +190,13 @@ class Collection:
         search is profiled and retained by trace id
         (``GET /profiles/{trace_id}``).
 
-        With a filter the collection runs the attribute-first bitmap
-        strategy per segment (strategy B of Sec. 4.1): the attribute
-        column yields admissible row ids, which are pushed down into
-        the per-segment vector search.  The standalone strategy
-        benchmarks live in :mod:`repro.filtering`.
+        With a filter the attribute column yields the admissible row
+        ids and the calibrated planner picks, from their share of the
+        live rows, how to use them (Sec. 4.1): an exact scan of the
+        admissible rows (A), pushdown into the per-segment vector
+        search (B), or a widened unfiltered search post-filtered (C).
+        Explicit ``search_params`` always win over planned knobs.  The
+        standalone strategy benchmarks live in :mod:`repro.filtering`.
 
         Filter forms:
 
@@ -281,7 +249,8 @@ class Collection:
         if explain:
             plan = explain_search(
                 self, field, queries=queries, k=k, filter=filter,
-                parallel=parallel, pool_size=pool_size, **search_params
+                parallel=parallel, pool_size=pool_size, profile=profile,
+                **search_params
             )
             return ExplainedResult(result=result, plan=plan, profile=profile)
         return result
@@ -313,13 +282,8 @@ class Collection:
                 metric = get_metric(self.schema.vector_field(field).metric)
                 queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
                 return SearchResult.empty(len(queries), k, metric)
-            if self._adaptive:
-                return self._adaptive_filtered_search(
-                    field, queries, k, admissible, snap,
-                    parallel=parallel, pool_size=pool_size, **search_params
-                )
-            return self._lsm.search(
-                field, queries, k, snapshot=snap, row_filter=admissible,
+            return self._adaptive_filtered_search(
+                field, queries, k, filter, admissible, snap,
                 parallel=parallel, pool_size=pool_size, **search_params
             )
         finally:
@@ -364,11 +328,31 @@ class Collection:
                 )
         return None, None, None, True, frozenset(), None
 
+    def _plan_filtered(self, field: str, k: int, n_admissible: int, snap: Snapshot):
+        """``(plan, index_type, knob_names)`` for a filter passing
+        ``n_admissible`` of the rows live in ``snap``."""
+        n = max(self._lsm.live_rows(snap), 1)
+        index_type, nlist, bucket_sizes, supports, knob_names, row_bytes = (
+            self._index_info(field, snap)
+        )
+        plan = self.planner.plan(
+            n=n,
+            passing_fraction=n_admissible / n,
+            k=k,
+            index_type=index_type or "",
+            nlist=nlist,
+            bucket_sizes=bucket_sizes,
+            supports_pushdown=supports,
+            row_bytes=row_bytes,
+        )
+        return plan, index_type, knob_names
+
     def _adaptive_filtered_search(
         self,
         field: str,
         queries: np.ndarray,
         k: int,
+        filter: AttributeFilter,
         admissible: np.ndarray,
         snap: Snapshot,
         parallel: Optional[bool] = None,
@@ -377,19 +361,8 @@ class Collection:
     ) -> SearchResult:
         """Plan (strategy + knobs) from calibrated costs, execute, feed back."""
         planner = self.planner
-        n = max(int(self._lsm.num_live_rows), 1)
-        index_type, nlist, bucket_sizes, supports, knob_names, row_bytes = (
-            self._index_info(field, snap)
-        )
-        plan = planner.plan(
-            n=n,
-            passing_fraction=len(admissible) / n,
-            k=k,
-            index_type=index_type or "",
-            nlist=nlist,
-            bucket_sizes=bucket_sizes,
-            supports_pushdown=supports,
-            row_bytes=row_bytes,
+        plan, index_type, knob_names = self._plan_filtered(
+            field, k, len(admissible), snap
         )
         # Planned knobs the field's index understands; explicit caller
         # params always win over the planner's choices.
@@ -398,17 +371,22 @@ class Collection:
             if name in knob_names
         }
         knobs.update(search_params)
-        profile_attr("adaptive_plan", plan.to_dict())
+        nq = len(np.atleast_2d(np.asarray(queries)))
+        node = current_node()
+        if node is not None:
+            # EXPLAIN's filter section, rendered before observe() below
+            # moves the estimates this plan was chosen on.
+            node.set_attr("adaptive_plan", filter_section(
+                planner, plan, filter, len(admissible), nq))
         with measurement_stage("adaptive.exec", strategy=plan.strategy) as stage:
             result = self._execute_plan(
                 field, queries, k, admissible, snap, plan, knobs,
                 index_type, parallel, pool_size,
             )
-        nq = len(np.atleast_2d(np.asarray(queries)))
+        # In-memory only: taking an LSM lock here would queue every
+        # filtered read behind flushes and merges.  Collection.flush()
+        # makes the calibration durable.
         planner.observe(plan, stage.total_counters(), nq=nq)
-        # Cheap in-memory staging; the next manifest write (flush,
-        # merge, or an explicit Collection.flush) makes it durable.
-        self._lsm.set_planner_state(planner.to_dict())
         return result
 
     def _execute_plan(

@@ -21,12 +21,10 @@ class ServerConfig:
         storage: ``"memory"`` (simulated S3), or a path for the local
             filesystem backend.
         lsm: default LSM tunables applied to new collections.
-        async_writes: default write mode for new collections (Sec. 5.1).
     """
 
     storage: str = "memory"
     lsm: LSMConfig = field(default_factory=LSMConfig)
-    async_writes: bool = False
 
 
 class MilvusLite:
@@ -52,7 +50,6 @@ class MilvusLite:
         self,
         schema: CollectionSchema,
         lsm_config: Optional[LSMConfig] = None,
-        async_writes: Optional[bool] = None,
     ) -> Collection:
         if schema.name in self._collections:
             raise CollectionExistsError(schema.name)
@@ -60,7 +57,6 @@ class MilvusLite:
             schema,
             lsm_config=lsm_config or self.config.lsm,
             fs=self._make_fs(schema.name),
-            async_writes=self.config.async_writes if async_writes is None else async_writes,
         )
         self._collections[schema.name] = collection
         return collection

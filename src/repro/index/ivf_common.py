@@ -17,9 +17,9 @@ read path takes no lock.  The probe (``_search_pruned``) is
 bucket-major — a block of queries reuses each bucket, paper
 Sec. 3.2.1 — and threshold-pruned: a row is compared with the
 query's k-th best score *before* it is kept, so no per-bucket top-k is
-ever taken.  ``REPRO_KERNELS=0`` selects the original query-major loop
-(``_search_perquery``), kept as the equivalence baseline for tests;
-both paths report the same work counters.
+ever taken.  It is the only probe; the definition it must reproduce —
+results and work counters — is the plain-numpy oracle in
+``tests/test_ivf_scan.py``.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.index import kernels
 from repro.index.base import SearchResult, VectorIndex
 from repro.index.kmeans import KMeans, assign_to_centroids
 from repro.metrics.base import MetricKind
 from repro.metrics.dense import l2_squared_pairwise
 from repro.obs.profile import current_node
-from repro.utils import ensure_positive, merge_topk, topk_from_scores
+from repro.utils import ensure_positive
 from repro.utils.sanitizer import maybe_sanitize
 
 DEFAULT_NLIST = 128
@@ -164,12 +163,6 @@ class InvertedLists:
         offsets = np.concatenate(([0], np.cumsum(counts)))
         return ListsSnapshot(offsets, ids, codes)
 
-    def get(self, list_no: int):
-        """(ids, codes) views of one bucket; codes is None while empty."""
-        snap = self.snapshot()
-        lo, hi = snap.offsets[list_no], snap.offsets[list_no + 1]
-        return snap.ids[lo:hi], None if snap.codes is None else snap.codes[lo:hi]
-
     def sizes(self) -> np.ndarray:
         return np.diff(self.snapshot().offsets)
 
@@ -283,48 +276,7 @@ class IVFIndexBase(VectorIndex):
         if params:
             raise TypeError(f"unknown search params: {sorted(params)}")
         bucket_ids = self.select_buckets(queries, nprobe)
-        if kernels.kernels_enabled():
-            return self._search_pruned(queries, k, bucket_ids, row_filter)
-        return self._search_perquery(queries, k, bucket_ids, row_filter)
-
-    def _search_perquery(
-        self,
-        queries: np.ndarray,
-        k: int,
-        bucket_ids: np.ndarray,
-        row_filter: Optional[np.ndarray],
-    ) -> SearchResult:
-        """Reference query-major loop (the pre-kernel execution path)."""
-        result = SearchResult.empty(len(queries), k, self.metric)
-        node = current_node()
-        buckets_probed = rows_scanned = pruned = evals = nbytes = 0
-        for qi in range(len(queries)):
-            parts = []
-            for list_no in bucket_ids[qi]:
-                ids, codes = self.lists.get(int(list_no))
-                if len(ids) == 0:
-                    continue
-                buckets_probed += 1
-                rows_scanned += len(ids)
-                if row_filter is not None:
-                    keep = _sorted_membership(ids, row_filter)
-                    pruned += len(ids) - int(keep.sum())
-                    if not keep.any():
-                        continue
-                    ids = ids[keep]
-                    codes = codes[keep]
-                evals += len(ids)
-                nbytes += codes.nbytes
-                scores = self._scan_list(queries[qi : qi + 1], codes)[0]
-                parts.append(topk_from_scores(
-                    scores, k, self.metric.higher_is_better, ids=ids
-                ))
-            top_ids, top_scores = merge_topk(parts, k, self.metric.higher_is_better)
-            result.ids[qi, : len(top_ids)] = top_ids
-            result.scores[qi, : len(top_scores)] = top_scores
-        if node is not None:
-            _count_probe(node, buckets_probed, rows_scanned, pruned, evals, nbytes)
-        return result
+        return self._search_pruned(queries, k, bucket_ids, row_filter)
 
     def _search_pruned(
         self,
@@ -347,8 +299,7 @@ class IVFIndexBase(VectorIndex):
         every row of the true top-k is at or under the threshold, so
         one sort of the few survivors — by (score, CSR position), which
         does not depend on a query's batch-mates — is exact over the
-        probed rows.  Work counters are the reference path's: they
-        follow from the bucket sizes alone.
+        probed rows.  Work counters follow from the bucket sizes alone.
         """
         snap = self._snapshot()
         nq, nprobe = bucket_ids.shape
@@ -437,9 +388,7 @@ class IVFIndexBase(VectorIndex):
             raise TypeError(f"unknown range params: {sorted(params)}")
         bucket_ids = self.select_buckets(queries, nprobe)
         snap = self._snapshot()
-        scan = (
-            self._begin_scan(queries, snap) if kernels.kernels_enabled() else None
-        )
+        scan = self._begin_scan(queries, snap)
         node = current_node()
         out = [[] for __ in range(len(queries))]
         for qi in range(len(queries)):
@@ -451,12 +400,7 @@ class IVFIndexBase(VectorIndex):
                 if node is not None:
                     node.count("distance_evals", int(hi - lo))
                     node.count("bytes_read", int(hi - lo) * self.row_code_bytes())
-                if scan is not None:
-                    scores = scan.final(qidx, scan.keyed(slice(lo, hi), qidx)[:, 0])
-                else:
-                    scores = self._scan_list(
-                        queries[qi : qi + 1], snap.codes[lo:hi]
-                    )[0]
+                scores = scan.final(qidx, scan.keyed(slice(lo, hi), qidx)[:, 0])
                 if self.metric.higher_is_better:
                     hits = np.flatnonzero(scores >= radius)
                 else:
@@ -546,12 +490,3 @@ def _count_probe(node, buckets_probed, rows_scanned, pruned, evals, nbytes) -> N
                         ("distance_evals", evals), ("bytes_read", nbytes)):
         if value:
             node.count(name, value)
-
-
-def _sorted_membership(ids: np.ndarray, sorted_filter: np.ndarray) -> np.ndarray:
-    """Boolean mask of ``ids`` present in the sorted ``sorted_filter``."""
-    pos = np.searchsorted(sorted_filter, ids)
-    pos = np.minimum(pos, len(sorted_filter) - 1)
-    if len(sorted_filter) == 0:
-        return np.zeros(len(ids), dtype=bool)
-    return sorted_filter[pos] == ids

@@ -43,15 +43,10 @@ shapes this module reproduces in numpy:
   ``R = U V^T,  U S V^T = svd(X^T decode(encode(X R)))``.  Rotation
   preserves L2/IP/cosine, so rotated-space ADC scores are raw-space
   scores.  Training is seeded and deterministic.
-
-Knobs: ``REPRO_KERNELS=0`` falls back to the naive per-query reference
-paths (the equivalence baseline), ``REPRO_KERNEL_BLOCK`` overrides the
-blocked-LUT block size (default :data:`DEFAULT_BLOCK`).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,8 +55,6 @@ from repro.metrics.dense import unit_rows
 
 __all__ = [
     "DEFAULT_BLOCK",
-    "kernels_enabled",
-    "kernel_block_size",
     "flatten_tables",
     "adc_scan_blocked",
     "adc_scan_flat",
@@ -79,30 +72,13 @@ __all__ = [
 #: cache-resident for typical bucket sizes.
 DEFAULT_BLOCK = 4
 
-#: when neither the caller nor ``REPRO_KERNEL_BLOCK`` pins a block
-#: size, scans whose full-width gather temp ``nq * n * m`` stays under
-#: this many float32 elements (16 MiB) skip blocking entirely: one
-#: gather + sum for all ``m`` sub-quantizers beats two python-level
-#: dispatch rounds whenever the temp fits comfortably in cache.  The
-#: bench_ablation_kernels sweep shows the crossover.
+#: when the caller pins no block size, scans whose full-width gather
+#: temp ``nq * n * m`` stays under this many float32 elements (16 MiB)
+#: skip blocking entirely: one gather + sum for all ``m``
+#: sub-quantizers beats two python-level dispatch rounds whenever the
+#: temp fits comfortably in cache.  The bench_ablation_kernels sweep
+#: shows the crossover.
 FUSED_GATHER_ELEMS = 1 << 22
-
-
-def kernels_enabled() -> bool:
-    """Batched/kernel scan paths on (default); ``REPRO_KERNELS=0`` selects
-    the naive per-query reference paths for A/B comparison."""
-    return os.environ.get("REPRO_KERNELS", "1") != "0"
-
-
-def kernel_block_size() -> int:
-    """Blocked-LUT block size (``REPRO_KERNEL_BLOCK`` overrides)."""
-    raw = os.environ.get("REPRO_KERNEL_BLOCK", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_BLOCK
 
 
 # -- blocked flat-LUT PQ scanning ------------------------------------------
@@ -157,12 +133,7 @@ def adc_scan_flat(
     n, m = flat_codes.shape
     nq = tables_flat.shape[0]
     if block is None:
-        block = kernel_block_size()
-        if (
-            "REPRO_KERNEL_BLOCK" not in os.environ
-            and nq * n * m <= FUSED_GATHER_ELEMS
-        ):
-            block = m
+        block = m if nq * n * m <= FUSED_GATHER_ELEMS else DEFAULT_BLOCK
     if block >= m:
         return tables_flat[:, flat_codes].sum(axis=2, dtype=np.float32)
     out = np.zeros((nq, n), dtype=np.float32)

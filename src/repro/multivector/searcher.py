@@ -18,6 +18,7 @@ from repro.multivector.iterative import DEFAULT_K_THRESHOLD, IterativeMerging
 from repro.multivector.naive import naive_multi_vector_search
 from repro.obs import get_obs
 from repro.obs.profile import QueryProfile, current_node, profile_stage
+from repro.utils import sorted_membership
 
 
 class MultiVectorSearcher:
@@ -186,10 +187,7 @@ class MultiVectorSearcher:
             data_parts = {f: [] for f in self.fields}
             for seg_id in snap.segment_ids:
                 segment = lsm.bufferpool.get(seg_id)
-                if len(snap.tombstones):
-                    keep = ~np.isin(segment.row_ids, snap.tombstones)
-                else:
-                    keep = np.ones(len(segment), dtype=bool)
+                keep = ~sorted_membership(segment.row_ids, snap.tombstones)
                 ids_parts.append(segment.row_ids[keep])
                 for f in self.fields:
                     data_parts[f].append(segment.vectors[f][keep])

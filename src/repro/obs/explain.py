@@ -3,17 +3,19 @@
 :func:`explain_search` answers "what *would* this query do" without
 (or alongside) running it: which segments are selected vs. skipped and
 why, which index (and parameters) serves each segment vs. a
-brute-force scan, which filter strategy the cost model of
-:mod:`repro.filtering.cost` recommends for the given selectivity, and
-— when a :class:`~repro.hetero.scheduler.SegmentScheduler` is passed —
-which device the greedy least-finish-time policy would pick per
-segment.  The dump is a plain JSON-safe dict, served over REST as
+brute-force scan, which filter strategy and knobs the collection's
+calibrated planner (:mod:`repro.filtering.cost`) picks for the given
+selectivity, and — when a
+:class:`~repro.hetero.scheduler.SegmentScheduler` is passed — which
+device the greedy least-finish-time policy would pick per segment.  The dump is a plain JSON-safe dict, served over REST as
 ``POST /explain``.
 
 ``search(..., explain=True)`` pairs this plan with the executed
 :class:`~repro.obs.profile.QueryProfile` (the ANALYZE half) in an
-:class:`ExplainedResult`; both halves work with observability off —
-the profiler *store* is the only part gated on ``REPRO_OBS``.
+:class:`ExplainedResult`, and the filter section is then the plan the
+search ran, as it recorded it — not a second planning pass.  Both
+halves work with observability off — the profiler *store* is the only
+part gated on ``REPRO_OBS``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from repro.obs.profile import QueryProfile
 
-__all__ = ["ExplainedResult", "explain_search"]
+__all__ = ["ExplainedResult", "explain_search", "filter_section"]
 
 
 @dataclass
@@ -42,13 +44,13 @@ class ExplainedResult:
     def estimated_vs_actual(self) -> Dict[str, Dict[str, float]]:
         """Calibrated counter estimates against executed counters.
 
-        Only meaningful for adaptive filtered searches (the plan then
-        carries ``filter.estimated_counters``); empty otherwise.  The
+        Only meaningful for filtered searches (the plan then carries
+        ``filter.estimated_counters``); empty otherwise.  The
         per-counter ``relative_error`` is what the calibration
         acceptance gate tracks toward +/-20%.
         """
-        filter_section = self.plan.get("filter") or {}
-        estimated = filter_section.get("estimated_counters") or {}
+        section = self.plan.get("filter") or {}
+        estimated = section.get("estimated_counters") or {}
         actual = self.profile.total_counters()
         out: Dict[str, Dict[str, float]] = {}
         for key, value in estimated.items():
@@ -103,65 +105,34 @@ def _segment_plan(segment, field: str, tombstones, admissible) -> Dict[str, obje
     return entry
 
 
-def _filter_plan(collection, filter, snap, k: int, scanned_fraction: float,
-                 index_info=None, nq: int = 1):
-    """Filter section: selectivity + what the cost model recommends.
-
-    Without adaptive planning the collection's filtered read path
-    always executes strategy B (attribute-first bitmap pushdown); the
-    static cost model's pick is reported alongside so plan output shows
-    when B was *not* the cheapest choice for this selectivity (paper
-    Sec. 4.1).  With ``REPRO_ADAPTIVE`` on, the collection's calibrated
-    planner picks strategy *and* knobs, and the section carries both
-    the calibrated and analytical costs, the predicted work counters,
-    and the per-strategy calibration residuals.
+def filter_section(planner, qplan, filter, admissible_rows: int,
+                   nq: int) -> Dict[str, object]:
+    """The filter section for one planned query: selectivity, the
+    calibrated and analytical cost per strategy, the strategy and knobs
+    picked, the predicted work counters and the calibration residuals.
     """
-    from repro.filtering.cost import CostModel
-
-    admissible = collection._filter_rows(filter, snap)
-    n = int(collection._lsm.num_live_rows)
-    passing = len(admissible) / n if n else 0.0
-    if getattr(collection, "_adaptive", False) and index_info is not None:
-        index_type, nlist, bucket_sizes, supports, __, row_bytes = index_info
-        planner = collection.planner
-        qplan = planner.plan(
-            n=max(n, 1), passing_fraction=passing, k=k,
-            index_type=index_type or "", nlist=nlist,
-            bucket_sizes=bucket_sizes, supports_pushdown=supports,
-            row_bytes=row_bytes,
-        )
-        return {
-            "spec": list(filter),
-            "admissible_rows": int(len(admissible)),
-            "selectivity": passing,
-            "adaptive": True,
-            "cost_model": {
-                "A": qplan.estimated.a, "B": qplan.estimated.b,
-                "C": qplan.estimated.c,
-            },
-            "analytical_cost": {
-                "A": qplan.raw.a, "B": qplan.raw.b, "C": qplan.raw.c,
-            },
-            "recommended": qplan.strategy,
-            "executed": qplan.strategy,
-            "knobs": qplan.knobs(),
-            # scaled to the batch so they compare 1:1 with the executed
-            # profile's counters in estimated_vs_actual().
-            "estimated_counters": {
-                name: value * nq
-                for name, value in planner.estimated_counters(qplan).items()
-            },
-            "calibration": planner.residuals(),
-        }, admissible
-    costs = CostModel().estimate(n, passing, k, scanned_fraction)
     return {
         "spec": list(filter),
-        "admissible_rows": int(len(admissible)),
-        "selectivity": passing,
-        "cost_model": {"A": costs.a, "B": costs.b, "C": costs.c},
-        "recommended": costs.best(),
-        "executed": "B",
-    }, admissible
+        "admissible_rows": int(admissible_rows),
+        "selectivity": qplan.passing_fraction,
+        "cost_model": {
+            "A": qplan.estimated.a, "B": qplan.estimated.b,
+            "C": qplan.estimated.c,
+        },
+        "analytical_cost": {
+            "A": qplan.raw.a, "B": qplan.raw.b, "C": qplan.raw.c,
+        },
+        "recommended": qplan.strategy,
+        "executed": qplan.strategy,
+        "knobs": qplan.knobs(),
+        # scaled to the batch so they compare 1:1 with the executed
+        # profile's counters in estimated_vs_actual().
+        "estimated_counters": {
+            name: value * nq
+            for name, value in planner.estimated_counters(qplan).items()
+        },
+        "calibration": planner.residuals(),
+    }
 
 
 def _hetero_plan(scheduler, segments, field: str, nq: int) -> Dict[str, object]:
@@ -212,9 +183,15 @@ def explain_search(
     scheduler=None,
     parallel: Optional[bool] = None,
     pool_size: Optional[int] = None,
+    profile: Optional[QueryProfile] = None,
     **search_params,
 ) -> Dict[str, object]:
-    """The planner dump for one :meth:`Collection.search` call."""
+    """The planner dump for one :meth:`Collection.search` call.
+
+    ``profile`` is the executed search's profile, when there is one:
+    its recorded filter plan is reported as is.  Without it the filter
+    is resolved and planned here, once.
+    """
     from repro.exec import QueryExecutor
 
     spec = collection.schema.vector_field(field)
@@ -225,38 +202,18 @@ def explain_search(
         segments = [
             collection._lsm.bufferpool.get(seg_id) for seg_id in snap.segment_ids
         ]
-        # scanned fraction for the cost model: IVF probes nprobe of
-        # nlist buckets (bucket-size weighted — heavy buckets are
-        # probed disproportionately often); everything else scans the
-        # full segment.
-        from repro.filtering.cost import weighted_scanned_fraction
-
-        scanned_fraction = 1.0
-        index_info = None
-        for segment in segments:
-            index = segment.indexes.get(field)
-            if index is None:
-                continue
-            nlist = getattr(index, "nlist", None)
-            sizes = (
-                index.bucket_sizes().tolist()
-                if hasattr(index, "bucket_sizes") else None
-            )
-            index_info = (
-                index.index_type, nlist, sizes,
-                index.supports_search_param("row_filter"),
-                type(index).SEARCH_PARAMS,
-                index.row_code_bytes(),
-            )
-            if nlist:
-                nprobe = int(search_params.get("nprobe", 8))
-                scanned_fraction = weighted_scanned_fraction(nprobe, sizes, nlist)
-            break
-        filter_section, admissible = (None, None)
+        section = admissible = None
         if filter is not None:
-            filter_section, admissible = _filter_plan(
-                collection, filter, snap, k, scanned_fraction, index_info, nq=nq
-            )
+            if profile is not None:
+                section = profile.root.attrs.get("adaptive_plan")
+            if section is None:
+                admissible = collection._filter_rows(filter, snap)
+                qplan, __, __ = collection._plan_filtered(
+                    field, k, len(admissible), snap
+                )
+                section = filter_section(
+                    collection.planner, qplan, filter, len(admissible), nq
+                )
         segment_entries = [
             _segment_plan(segment, field, snap.tombstones, admissible)
             for segment in segments
@@ -273,7 +230,7 @@ def explain_search(
             "segments": segment_entries,
             "segments_selected": sum(e["selected"] for e in segment_entries),
             "segments_skipped": sum(not e["selected"] for e in segment_entries),
-            "filter": filter_section,
+            "filter": section,
         }
         if scheduler is not None:
             selected = [

@@ -943,28 +943,24 @@ class LSMManager:
     def planner_state(self) -> Optional[dict]:
         """The persisted query-planner calibration dict, if any.
 
-        Returned as a deep copy (json round-trip — the state is
-        JSON-safe by construction, it lives in the manifest) so the
-        caller cannot mutate the guarded staging dict.
+        Lock-free, because the query path reads it and must not queue
+        behind a flush or merge holding ``_bg_lock``: the staged dict is
+        only ever replaced whole, never mutated.  Returned as
+        a deep copy (json round-trip — the state is JSON-safe by
+        construction, it lives in the manifest).
         """
-        with self._bg_lock:
-            if self._planner_state is None:
-                return None
-            return json.loads(json.dumps(self._planner_state))
+        state = self._planner_state
+        return None if state is None else json.loads(json.dumps(state))
 
-    def set_planner_state(self, state: dict, persist: bool = False) -> None:
-        """Stage planner calibration for the next manifest version.
+    def persist_planner_state(self, state: dict) -> None:
+        """Write a manifest version carrying planner calibration ``state``.
 
-        Cheap by default (in-memory; every subsequent flush/merge
-        manifest write carries it).  ``persist=True`` writes a manifest
-        version immediately — used when durability is wanted *now*,
-        e.g. at collection flush, without waiting for the next
-        compaction.
+        Every later flush/merge manifest write carries it forward, so a
+        restart + :meth:`recover` resumes a warm planner.
         """
         with self._bg_lock:
             self._planner_state = state
-            if persist:
-                self._persist_manifest_locked()
+            self._persist_manifest_locked()
 
     def search(
         self,
@@ -1080,25 +1076,29 @@ class LSMManager:
         """Rows visible to a fresh snapshot (sealed + frozen − tombstoned)."""
         snap = self.snapshot()
         try:
-            exclude = self.visible_tombstones(snap)
-            total = 0
-            for seg_id in snap.segment_ids:
-                # Pin like the search path: an unpinned segment can be
-                # evicted (and invalidated) by a concurrent flush/merge
-                # mid-read.
-                segment = self.bufferpool.get(seg_id, pin=True)
-                try:
-                    total += segment.num_rows - int(
-                        segment.contains_mask(exclude).sum()
-                    )
-                finally:
-                    self.bufferpool.unpin(seg_id)
-            for fid in snap.frozen_ids:
-                view = self._frozen_view(fid)
-                total += view.num_rows - int(view.contains_mask(exclude).sum())
-            return total
+            return self.live_rows(snap)
         finally:
             self.release(snap)
+
+    def live_rows(self, snap: Snapshot) -> int:
+        """Rows visible in ``snap`` (sealed + frozen − tombstoned)."""
+        exclude = self.visible_tombstones(snap)
+        total = 0
+        for seg_id in snap.segment_ids:
+            # Pin like the search path: an unpinned segment can be
+            # evicted (and invalidated) by a concurrent flush/merge
+            # mid-read.
+            segment = self.bufferpool.get(seg_id, pin=True)
+            try:
+                total += segment.num_rows - int(
+                    segment.contains_mask(exclude).sum()
+                )
+            finally:
+                self.bufferpool.unpin(seg_id)
+        for fid in snap.frozen_ids:
+            view = self._frozen_view(fid)
+            total += view.num_rows - int(view.contains_mask(exclude).sum())
+        return total
 
     @property
     def unflushed_rows(self) -> int:

@@ -36,7 +36,7 @@ from repro.obs.profile import current_node
 from repro.storage.attributes import AttributeColumn, merge_columns
 from repro.storage.bloom import BloomFilter
 from repro.storage.categorical import CategoricalColumn
-from repro.utils import topk_from_scores
+from repro.utils import sorted_membership, topk_from_scores
 
 #: vector fields spec: name -> (dim, metric_name)
 VectorSpecs = Dict[str, Tuple[int, str]]
@@ -201,9 +201,9 @@ class Segment:
     def _admissible_mask(self, exclude, row_filter) -> Optional[np.ndarray]:
         mask = None
         if exclude is not None and len(exclude):
-            mask = ~_sorted_isin(self.row_ids, exclude)
+            mask = ~sorted_membership(self.row_ids, exclude)
         if row_filter is not None:
-            allow = _sorted_isin(self.row_ids, row_filter)
+            allow = sorted_membership(self.row_ids, row_filter)
             mask = allow if mask is None else (mask & allow)
         return mask
 
@@ -281,7 +281,7 @@ class Segment:
             width = min(2 * width, raw.k)
             ids = raw.ids[:, :width]
             valid = np.logical_and.accumulate(ids >= 0, axis=1)
-            dead = valid & _sorted_isin(ids.ravel(), exclude).reshape(ids.shape)
+            dead = valid & sorted_membership(ids.ravel(), exclude).reshape(ids.shape)
             live = valid & ~dead
             stopped = (live.sum(axis=1) >= k) | ~valid[:, -1]
             if width == raw.k or stopped.all():
@@ -331,7 +331,7 @@ class Segment:
         merged_ids = all_ids[order]
         keep = np.ones(len(merged_ids), dtype=bool)
         if drop_ids is not None and len(drop_ids):
-            keep &= ~_sorted_isin(merged_ids, np.asarray(drop_ids, dtype=np.int64))
+            keep &= ~sorted_membership(merged_ids, np.asarray(drop_ids, dtype=np.int64))
         merged_ids = merged_ids[keep]
 
         vectors = {}
@@ -348,7 +348,7 @@ class Segment:
         for name in attr_names:
             merged_col = merge_columns([s.attributes[name] for s in segments])
             if dropset is not None and len(merged_col):
-                keep_attr = ~_sorted_isin_unsorted(merged_col.row_ids, dropset)
+                keep_attr = ~sorted_membership(merged_col.row_ids, dropset)
                 merged_col = AttributeColumn.from_sorted(
                     merged_col.keys[keep_attr], merged_col.row_ids[keep_attr]
                 )
@@ -424,17 +424,3 @@ def _field_of(segment: Segment, index: VectorIndex) -> str:
         if ix is index:
             return name
     raise KeyError("index not attached to segment")
-
-
-def _sorted_isin(values: np.ndarray, sorted_ref: np.ndarray) -> np.ndarray:
-    """Membership of sorted ``values`` in sorted ``sorted_ref``."""
-    if len(sorted_ref) == 0 or len(values) == 0:
-        return np.zeros(len(values), dtype=bool)
-    pos = np.searchsorted(sorted_ref, values)
-    pos = np.minimum(pos, len(sorted_ref) - 1)
-    return sorted_ref[pos] == values
-
-
-def _sorted_isin_unsorted(values: np.ndarray, sorted_ref: np.ndarray) -> np.ndarray:
-    """Membership of arbitrary-order ``values`` in sorted ``sorted_ref``."""
-    return _sorted_isin(values, sorted_ref)

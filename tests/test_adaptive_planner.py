@@ -10,6 +10,8 @@ Covers the tentpole (CalibratedCostModel / AdaptivePlanner / in-traversal
 * ``_scanned_fraction`` is bucket-size weighted, not ``nprobe/nlist``.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -232,7 +234,6 @@ def _adaptive_collection(fs=None, seed=123, nlist=8):
             index_type="IVF_FLAT", index_params={"nlist": nlist},
         ),
         fs=fs,
-        adaptive=True,
     )
     rng = np.random.default_rng(seed)
     data = sift_like(600, dim=16, n_clusters=8, seed=seed)
@@ -294,7 +295,7 @@ class TestAdaptiveCollection:
 
         schema = coll.schema
         reopened = Collection(
-            schema, lsm_config=LSMConfig(background=False), fs=fs, adaptive=True
+            schema, lsm_config=LSMConfig(background=False), fs=fs
         )
         reopened._lsm.recover()
         assert reopened.planner.to_dict() == state
@@ -308,12 +309,69 @@ class TestAdaptiveCollection:
             "emb", queries, 5, filter=("price", 15.0, 85.0), explain=True
         )
         section = explained.plan["filter"]
-        assert section["adaptive"] is True
         assert section["executed"] in ("A", "B", "C")
         comparison = explained.estimated_vs_actual()
         assert comparison  # at least one calibrated counter
         for entry in comparison.values():
             assert entry["relative_error"] <= 0.2
+
+    def test_explain_reports_the_plan_that_ran(self, monkeypatch):
+        coll, data = _adaptive_collection(seed=55)
+        queries = random_queries(data, 4, seed=56)
+        planned, resolved = [], []
+        plan, filter_rows = coll.planner.plan, coll._filter_rows
+        monkeypatch.setattr(
+            coll.planner, "plan", lambda **kw: planned.append(plan(**kw)) or planned[-1])
+        monkeypatch.setattr(
+            coll, "_filter_rows", lambda *a: resolved.append(a) or filter_rows(*a))
+        explained = coll.search(
+            "emb", queries, 5, filter=("price", 15.0, 85.0), explain=True
+        )
+        # one filter pass, one plan: EXPLAIN shows it, as recorded before
+        # the executed counters moved the calibration
+        assert len(planned) == len(resolved) == 1
+        section = explained.plan["filter"]
+        assert section == explained.profile.root.attrs["adaptive_plan"]
+        assert section["executed"] == planned[0].strategy
+        assert section["knobs"] == planned[0].knobs()
+        assert section["calibration"] == {}  # nothing observed before this plan
+        assert coll.planner.residuals()      # ... and something after it
+
+    def test_filtered_search_completes_while_maintenance_lock_is_held(self):
+        """Planning and feedback take no LSM lock: a filtered read (the
+        collection's first, so it also seeds the planner) does not queue
+        behind a flush, merge or index build holding ``_bg_lock``."""
+        coll, data = _adaptive_collection(seed=5)
+        held, release, done = (threading.Event() for __ in range(3))
+        results = []
+
+        def maintenance():
+            with coll.lsm._bg_lock:
+                held.set()
+                release.wait(timeout=60)
+
+        def reader():
+            try:
+                results.append(
+                    coll.search("emb", data[:2], 5, filter=("price", 10.0, 60.0)))
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                results.append(exc)
+            done.set()
+
+        holder = threading.Thread(target=maintenance)
+        holder.start()
+        try:
+            assert held.wait(timeout=10)
+            search = threading.Thread(target=reader, daemon=True)
+            search.start()
+            finished = done.wait(timeout=20)
+        finally:
+            release.set()
+            holder.join(timeout=10)
+        search.join(timeout=10)
+        assert finished, "filtered search waited for the maintenance lock"
+        assert not holder.is_alive() and not search.is_alive()
+        assert (results[0].ids[:, 0] >= 0).all()
 
 
 class TestHeteroCalibration:

@@ -1,4 +1,4 @@
-"""Baseline engines, the batched IVF executor, datasets, and bench utils."""
+"""Baseline engines, datasets, and bench utils."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,7 @@ from repro.baselines import (
     VearchLikeEngine,
 )
 from repro.bench import format_table, measure_throughput, recall_throughput_curve
-from repro.hetero.batched import BatchedIVFSearcher
-from repro.index import IVFFlatIndex, FlatIndex
+from repro.index import IVFFlatIndex
 from repro.datasets import (
     deep_like,
     exact_ground_truth,
@@ -32,25 +31,6 @@ def bench_setup():
     queries = random_queries(data, 10, seed=2)
     truth = exact_ground_truth(queries, data, 10)
     return data, attrs, queries, truth
-
-
-class TestBatchedIVF:
-    def test_matches_per_query_search(self, bench_setup):
-        data, __, queries, ___ = bench_setup
-        index = IVFFlatIndex(16, nlist=16, seed=0)
-        index.train(data)
-        index.add(data)
-        batched = BatchedIVFSearcher(index)
-        r1 = index.search(queries, 10, nprobe=8)
-        r2 = batched.search(queries, 10, nprobe=8)
-        np.testing.assert_array_equal(r1.ids, r2.ids)
-
-    def test_rejects_non_ivf(self, bench_setup):
-        data, *_ = bench_setup
-        flat = FlatIndex(16)
-        flat.add(data)
-        with pytest.raises(TypeError):
-            BatchedIVFSearcher(flat)
 
 
 class TestBaselineEngines:

@@ -16,7 +16,7 @@ from repro.storage import LSMConfig, TieredMergePolicy
 from repro.datasets import sift_like
 
 
-def make_collection(async_writes=False):
+def make_collection():
     schema = CollectionSchema(
         "items",
         vector_fields=[VectorField("emb", 16)],
@@ -27,7 +27,7 @@ def make_collection(async_writes=False):
         index_build_min_rows=1 << 30,
         merge_policy=TieredMergePolicy(merge_factor=2, min_segment_bytes=1),
     )
-    return Collection(schema, lsm_config=cfg, async_writes=async_writes)
+    return Collection(schema, lsm_config=cfg)
 
 
 @pytest.fixture()
@@ -142,19 +142,24 @@ class TestPointReads:
         np.testing.assert_allclose(got, prices[[5, 50]])
 
 
-class TestAsyncWrites:
-    def test_flush_drains_queue(self, data, prices):
-        coll = make_collection(async_writes=True)
-        coll.insert({"emb": data[:200], "price": prices[:200]})
-        coll.delete([3])
-        coll.flush()  # blocks until the background writer applied everything
-        assert coll.num_entities == 199
+class TestWriteAcknowledgement:
+    def test_failed_append_reaches_the_caller_and_flush_returns(
+            self, coll, data, prices, monkeypatch):
+        """No write is acknowledged before its WAL append: an insert the
+        storage engine refuses raises to the caller, leaves nothing
+        behind for flush() to wait on, and the collection keeps working."""
+        def refuse(*args, **kwargs):
+            raise OSError("disk full")
 
-    def test_ids_assigned_synchronously(self, data, prices):
-        coll = make_collection(async_writes=True)
-        ids = coll.insert({"emb": data[:10], "price": prices[:10]})
-        assert ids.tolist() == list(range(10))
+        monkeypatch.setattr(coll.lsm, "insert", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            coll.insert({"emb": data[:10], "price": prices[:10]})
+        monkeypatch.undo()
         coll.flush()
+        assert coll.num_entities == 0
+        coll.insert({"emb": data[:10], "price": prices[:10]})
+        coll.flush()
+        assert coll.num_entities == 10
 
 
 class TestMaintenance:

@@ -63,22 +63,6 @@ class TestConcurrentReadsDuringWrites:
                 t.join(timeout=10)
         assert not errors, errors[:3]
 
-    def test_async_writer_with_concurrent_flushes(self):
-        schema = CollectionSchema("a", vector_fields=[VectorField("emb", 8)])
-        cfg = LSMConfig(
-            memtable_flush_bytes=1 << 30,
-            index_build_min_rows=1 << 30,
-            merge_policy=TieredMergePolicy(merge_factor=2, min_segment_bytes=1),
-        )
-        coll = Collection(schema, lsm_config=cfg, async_writes=True)
-        data = sift_like(1200, dim=8, seed=1)
-        for start in range(0, 1200, 200):
-            coll.insert({"emb": data[start : start + 200]})
-        coll.flush()
-        assert coll.num_entities == 1200
-        result = coll.search("emb", data[5], 1)
-        assert result.ids[0, 0] == 5
-
     def test_snapshot_refcounts_balanced_after_storm(self):
         coll = make_collection()
         data = sift_like(600, dim=8, seed=2)

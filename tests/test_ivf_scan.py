@@ -70,7 +70,7 @@ class Model:
     def __init__(self, index):
         self.index = index
         self.ids = np.empty(0, dtype=np.int64)
-        self.vectors = np.empty((0, DIM), dtype=np.float32)
+        self.vectors = np.empty((0, index.dim), dtype=np.float32)
 
     def add(self, vectors, ids):
         self.index.add(vectors, ids=ids)
@@ -109,13 +109,13 @@ class Model:
         """Per query: (row positions best-first, their scores), plus the
         work counters an exact executor of the definition reports."""
         labels = self.labels()
-        sizes = np.bincount(labels, minlength=NLIST)
+        sizes = np.bincount(labels, minlength=self.index.nlist)
         buckets = self.index.select_buckets(queries, nprobe)
         higher = self.index.metric.higher_is_better
         work = dict.fromkeys(
             ("buckets_probed", "rows_scanned", "candidates_pruned",
              "distance_evals", "bytes_read"), 0)
-        work["distance_evals"] = len(queries) * NLIST  # the coarse step
+        work["distance_evals"] = len(queries) * self.index.nlist  # the coarse step
         out = []
         for qi, query in enumerate(queries):
             rows = np.flatnonzero(np.isin(labels, buckets[qi]))
@@ -132,8 +132,24 @@ class Model:
             out.append((rows[order], scores[order]))
         return out, work
 
+    def range_search(self, queries, radius, nprobe):
+        """Per query: (ids, scores) of the probed buckets' rows that
+        score within ``radius``, best-first."""
+        labels = self.labels()
+        buckets = self.index.select_buckets(queries, nprobe)
+        higher = self.index.metric.higher_is_better
+        out = []
+        for qi, query in enumerate(queries):
+            rows = np.flatnonzero(np.isin(labels, buckets[qi]))
+            scores = self.scores(query, rows)
+            hit = scores >= radius if higher else scores <= radius
+            rows, scores = rows[hit], scores[hit]
+            order = np.argsort(-scores if higher else scores, kind="stable")
+            out.append((self.ids[rows[order]], scores[order]))
+        return out
 
-def check_against_oracle(model, queries, k, nprobe, row_filter=None):
+
+def check_against_oracle(model, queries, k, nprobe, row_filter=None, atol=ATOL):
     params = {} if row_filter is None else {"row_filter": row_filter}
     with QueryProfile("probe") as prof:
         got = model.index.search(queries, k, nprobe=nprobe, **params)
@@ -149,12 +165,12 @@ def check_against_oracle(model, queries, k, nprobe, row_filter=None):
         got_scores = got.scores[qi, :n]
         # best-first, and the same score at every rank as the oracle
         assert (np.diff(sign * got_scores) >= 0).all()
-        np.testing.assert_allclose(got_scores, scores, rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(got_scores, scores, rtol=RTOL, atol=atol)
         # every returned id carries its own score (ties may permute ids,
         # never detach an id from its score)
         mine = model.scores(
             queries[qi], np.array([position[int(i)] for i in ids[:n]], dtype=int))
-        np.testing.assert_allclose(got_scores, mine, rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(got_scores, mine, rtol=RTOL, atol=atol)
         if row_filter is not None:
             assert np.isin(ids[:n], row_filter).all()
     counters = prof.total_counters()
@@ -251,9 +267,7 @@ class TestProbeMatchesOracle:
                 np.testing.assert_array_equal(
                     canonical(solo.ids[0]), canonical(full.ids[qi]))
 
-    def test_exact_ties_come_in_csr_order(
-            self, built, queries, itype, metric, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)  # the probe's rule
+    def test_exact_ties_come_in_csr_order(self, built, queries, itype, metric):
         if not isinstance(built(itype, metric).index, IVFPQIndex):
             return  # only table-gather scores tie bit-exactly
         model = built(itype, metric)
@@ -285,11 +299,12 @@ class TestProbeMatchesOracle:
 def old_layout_blob(index) -> bytes:
     """The per-bucket, zlib-compressed npz ``index_to_bytes`` used to write."""
     arrays = {"centroids": index.centroids}
+    snap = index.lists.snapshot()
     for list_no in range(index.nlist):
-        ids, codes = index.lists.get(list_no)
-        arrays[f"ids__{list_no}"] = ids
-        if len(ids):  # the old writer had no codes array for an empty bucket
-            arrays[f"codes__{list_no}"] = codes
+        lo, hi = snap.offsets[list_no], snap.offsets[list_no + 1]
+        arrays[f"ids__{list_no}"] = snap.ids[lo:hi]
+        if hi > lo:  # the old writer had no codes array for an empty bucket
+            arrays[f"codes__{list_no}"] = snap.codes[lo:hi]
     meta = {"index_type": index.index_type, "dim": index.dim,
             "metric": index.metric.name, "nlist": index.nlist}
     if isinstance(index, IVFSQ8Index):

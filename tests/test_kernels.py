@@ -1,10 +1,10 @@
-"""Quantized-scan kernel layer: equivalence vs the reference paths.
+"""Quantized-scan kernel layer: equivalence vs reference arithmetic.
 
 Every kernel (blocked flat-LUT PQ, decode-free SQ8, bucket-major
 batched execution) must reproduce its naive reference up to float
-summation order, with *exactly* the same work counters.  The reference
-paths stay live behind ``REPRO_KERNELS=0``, so these tests A/B the two
-implementations on the same built index.
+summation order, with *exactly* the work counters the definition of
+IVF search implies.  End to end the reference is the plain-numpy
+oracle of ``tests/test_ivf_scan.py``.
 """
 
 import threading
@@ -26,36 +26,18 @@ from repro.index import (
 )
 from repro.index import kernels
 from repro.index.ivf_common import InvertedLists
-from repro.obs.profile import QueryProfile
+from tests.test_ivf_scan import ATOL, Model, check_against_oracle
 
 METRICS = ("l2", "ip", "cosine")
 
-#: work counters that must match bit-for-bit between the kernel and
-#: reference execution paths (cache counters legitimately differ).
-WORK_COUNTERS = (
-    "distance_evals",
-    "rows_scanned",
-    "buckets_probed",
-    "candidates_pruned",
-    "bytes_read",
-)
-
-
-def _work(counters):
-    return {key: counters.get(key, 0) for key in WORK_COUNTERS}
-
-
-@pytest.fixture()
-def reference_path(monkeypatch):
-    """Force the naive per-query reference path."""
-    monkeypatch.setenv("REPRO_KERNELS", "0")
-
 
 def _build(factory, data):
+    """A trained, populated index with the oracle's record of its rows."""
     index = factory(data.shape[1])
     index.train(data)
-    index.add(data)
-    return index
+    model = Model(index)
+    model.add(data, np.arange(len(data), dtype=np.int64))
+    return model
 
 
 # -- blocked flat-LUT PQ kernel --------------------------------------------
@@ -108,12 +90,6 @@ class TestBlockedADC:
         np.testing.assert_allclose(
             blocked, ProductQuantizer.adc_scan(tables, codes), rtol=1e-5, atol=1e-4
         )
-
-    def test_block_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BLOCK", "7")
-        assert kernels.kernel_block_size() == 7
-        monkeypatch.setenv("REPRO_KERNEL_BLOCK", "junk")
-        assert kernels.kernel_block_size() == kernels.DEFAULT_BLOCK
 
 
 # -- decode-free SQ8 kernel ------------------------------------------------
@@ -225,7 +201,7 @@ class TestDecodeFreeSQ8:
                 assert block.flags.c_contiguous
 
 
-# -- end-to-end: kernel path vs reference path ------------------------------
+# -- end-to-end: the probe vs the plain-numpy oracle --------------------------
 
 
 IVF_FACTORIES = [
@@ -237,77 +213,51 @@ IVF_FACTORIES = [
 ]
 
 
+def _atol(metric, data):
+    """Absolute tolerance against the float64 oracle, from the dtype: the
+    float32 L2/IP expansions round at a few ulps of their largest term,
+    ``|x|^2`` (~5.6e5 on ``medium_data``); cosine scores are O(1)."""
+    if metric == "cosine":
+        return ATOL
+    sq_norms = (data.astype(np.float64) ** 2).sum(axis=1)
+    return 8 * np.finfo(np.float32).eps * float(sq_norms.max())
+
+
 class TestKernelVsReferenceSearch:
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("name,factory", IVF_FACTORIES,
                              ids=[n for n, __ in IVF_FACTORIES])
     def test_results_and_counters_match(self, name, factory, metric,
-                                        medium_data, medium_queries,
-                                        monkeypatch):
-        index = _build(lambda d: factory(d, metric), medium_data)
-        index.search(medium_queries, 5, nprobe=4)  # warm caches both ways
+                                        medium_data, medium_queries):
+        model = _build(lambda d: factory(d, metric), medium_data)
+        check_against_oracle(
+            model, medium_queries, 5, 4, atol=_atol(metric, medium_data))
 
-        monkeypatch.setenv("REPRO_KERNELS", "1")
-        with QueryProfile("kernel") as prof_k:
-            fast = index.search(medium_queries, 5, nprobe=4)
-        monkeypatch.setenv("REPRO_KERNELS", "0")
-        with QueryProfile("reference") as prof_r:
-            ref = index.search(medium_queries, 5, nprobe=4)
-
-        np.testing.assert_allclose(
-            np.sort(fast.scores, axis=1), np.sort(ref.scores, axis=1),
-            rtol=5e-4, atol=1e-3,
-        )
-        if name in ("IVF_FLAT", "IVF_SQ8"):
-            # real float distances: no score collisions, ids must agree
-            np.testing.assert_array_equal(fast.ids, ref.ids)
-        else:
-            # PQ rows sharing codes tie exactly; require heavy overlap
-            overlap = np.mean([
-                len(set(fast.ids[qi]) & set(ref.ids[qi])) / fast.ids.shape[1]
-                for qi in range(fast.nq)
-            ])
-            assert overlap >= 0.9, overlap
-        assert _work(prof_k.total_counters()) == _work(prof_r.total_counters())
-
-    def test_row_filter_counter_parity(self, medium_data, medium_queries,
-                                       monkeypatch):
-        index = _build(lambda d: IVFSQ8Index(d, nlist=16), medium_data)
+    def test_row_filter_counter_parity(self, medium_data, medium_queries):
+        model = _build(lambda d: IVFSQ8Index(d, nlist=16), medium_data)
         row_filter = np.arange(0, len(medium_data), 3, dtype=np.int64)
-        index.search(medium_queries, 5, nprobe=4, row_filter=row_filter)
+        check_against_oracle(
+            model, medium_queries, 5, 4, row_filter, atol=_atol("l2", medium_data))
+        __, work = model.search(medium_queries, 5, 4, row_filter)
+        assert work["candidates_pruned"] > 0  # the parity is not vacuous
 
-        monkeypatch.setenv("REPRO_KERNELS", "1")
-        with QueryProfile("kernel") as prof_k:
-            fast = index.search(medium_queries, 5, nprobe=4, row_filter=row_filter)
-        monkeypatch.setenv("REPRO_KERNELS", "0")
-        with QueryProfile("reference") as prof_r:
-            ref = index.search(medium_queries, 5, nprobe=4, row_filter=row_filter)
-
-        np.testing.assert_array_equal(fast.ids, ref.ids)
-        counters = _work(prof_k.total_counters())
-        assert counters == _work(prof_r.total_counters())
-        assert counters["candidates_pruned"] > 0
-        valid = fast.ids[fast.ids >= 0]
-        assert np.isin(valid, row_filter).all()
-
-    def test_range_search_matches(self, medium_data, medium_queries, monkeypatch):
-        index = _build(lambda d: IVFSQ8Index(d, nlist=16), medium_data)
-        # midpoint radius: kernel-vs-reference epsilon must not flip a
+    def test_range_search_matches(self, medium_data, medium_queries):
+        model = _build(lambda d: IVFSQ8Index(d, nlist=16), medium_data)
+        # midpoint radius: float32-vs-float64 epsilon must not flip a
         # row's membership, so keep the threshold away from any score
-        probe = index.search(medium_queries[:1], 10, nprobe=4)
+        probe = model.index.search(medium_queries[:1], 10, nprobe=4)
         radius = float(probe.scores[0, 5] + probe.scores[0, 6]) / 2.0
-        monkeypatch.setenv("REPRO_KERNELS", "1")
-        fast = index.range_search(medium_queries[:4], radius, nprobe=4)
-        monkeypatch.setenv("REPRO_KERNELS", "0")
-        ref = index.range_search(medium_queries[:4], radius, nprobe=4)
-        for got, want in zip(fast, ref):
-            assert [i for i, __ in got] == [i for i, __ in want]
+        got = model.index.range_search(medium_queries[:4], radius, nprobe=4)
+        want = model.range_search(medium_queries[:4], radius, 4)
+        assert len(got[0]) == 6
+        for hits, (ids, scores) in zip(got, want):
+            assert [i for i, __ in hits] == ids.tolist()
             np.testing.assert_allclose(
-                [s for __, s in got], [s for __, s in want], rtol=5e-4, atol=1e-3
-            )
+                [s for __, s in hits], scores, rtol=5e-4, atol=1e-3)
 
     def test_single_query_batch(self, medium_data, medium_queries):
-        index = _build(lambda d: IVFPQIndex(d, nlist=16, m=4, nbits=6), medium_data)
+        index = _build(
+            lambda d: IVFPQIndex(d, nlist=16, m=4, nbits=6), medium_data).index
         full = index.search(medium_queries, 5, nprobe=4)
         solo = index.search(medium_queries[2:3], 5, nprobe=4)
         # Same scores in the same order; ids may permute only within
@@ -455,6 +405,13 @@ def _chunk(nlist, labels, first_id, fill):
     return np.bincount(labels, minlength=nlist), ids, codes
 
 
+def _bucket(lists, list_no):
+    """(ids, codes) views of one bucket of the current snapshot."""
+    snap = lists.snapshot()
+    lo, hi = snap.offsets[list_no], snap.offsets[list_no + 1]
+    return snap.ids[lo:hi], None if snap.codes is None else snap.codes[lo:hi]
+
+
 class TestInvertedLists:
     def test_merge_is_bucket_major_and_insertion_ordered(self):
         lists = InvertedLists(3)
@@ -467,7 +424,7 @@ class TestInvertedLists:
         np.testing.assert_array_equal(snap.ids, [1, 4, 6, 3, 0, 2, 5])
         np.testing.assert_array_equal(snap.codes[:, 0], [1, 2, 2, 1, 1, 1, 2])
         assert lists.snapshot() is snap  # published once, then lock-free
-        ids, codes = lists.get(2)
+        ids, codes = _bucket(lists, 2)
         np.testing.assert_array_equal(ids, [0, 2, 5])
         assert np.shares_memory(codes, snap.codes)  # a view, not a copy
         np.testing.assert_array_equal(lists.sizes(), [3, 1, 3])
@@ -475,7 +432,7 @@ class TestInvertedLists:
     def test_empty_lists(self):
         lists = InvertedLists(2)
         assert lists.memory_bytes() == 0
-        ids, codes = lists.get(1)
+        ids, codes = _bucket(lists, 1)
         assert len(ids) == 0 and codes is None
         assert lists.total == 0 and lists.sizes().tolist() == [0, 0]
 
@@ -502,7 +459,7 @@ class TestInvertedLists:
                 return False
 
         lists._lock = Tripwire()
-        assert len(lists.get(1)[0]) == 2
+        assert len(_bucket(lists, 1)[0]) == 2
         assert lists.total == 3 and lists.sizes().tolist() == [1, 2]
 
     def test_concurrent_readers_while_snapshot_is_built(self):
@@ -514,7 +471,7 @@ class TestInvertedLists:
         def reader():
             try:
                 for __ in range(50):
-                    ids, codes = lists.get(0)
+                    ids, codes = _bucket(lists, 0)
                     assert len(ids) == len(codes) == 400
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
@@ -525,7 +482,7 @@ class TestInvertedLists:
         for t in threads:
             t.join(timeout=60)
         assert not errors and not any(t.is_alive() for t in threads)
-        ids, codes = lists.get(0)
+        ids, codes = _bucket(lists, 0)
         np.testing.assert_array_equal(ids, np.arange(400))
         np.testing.assert_array_equal(codes[:, 0], np.repeat(np.arange(40), 10))
 
@@ -558,7 +515,7 @@ class TestInvertedLists:
                     np.testing.assert_array_equal(
                         snap.codes[:, 0], (w * 60 + i) % 251)
                     for ln in range(4):
-                        ids, __codes = lists.get(ln)
+                        ids, __codes = _bucket(lists, ln)
                         assert ((ids % 1000) % 4 == ln).all()
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)

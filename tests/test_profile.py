@@ -178,12 +178,8 @@ class TestExplain:
         assert 0.0 < section["selectivity"] < 1.0
         assert section["recommended"] in ("A", "B", "C")
         assert set(section["cost_model"]) == {"A", "B", "C"}
-        if section.get("adaptive"):  # REPRO_ADAPTIVE=1 run
-            assert section["executed"] in ("A", "B", "C")
-            assert "knobs" in section
-        else:
-            assert section["executed"] == "B"
-            assert res.profile.total_counters()["candidates_pruned"] > 0
+        assert section["executed"] in ("A", "B", "C")
+        assert "knobs" in section
 
     def test_empty_segments_are_skipped_with_reason(self, prof_data):
         data, prices, queries = prof_data

@@ -131,14 +131,14 @@ class TestMaybeSanitize:
             san.disable()
 
 
-def make_collection(**kwargs):
+def make_collection():
     schema = CollectionSchema("c", vector_fields=[VectorField("emb", 8)])
     cfg = LSMConfig(
         memtable_flush_bytes=1 << 30,
         index_build_min_rows=1 << 30,
         merge_policy=TieredMergePolicy(merge_factor=2, min_segment_bytes=1),
     )
-    return Collection(schema, lsm_config=cfg, **kwargs)
+    return Collection(schema, lsm_config=cfg)
 
 
 class TestEngineIntegration:
@@ -202,14 +202,3 @@ class TestEngineIntegration:
         assert any(
             {v.first, v.second} == {"bufferpool", "lsm-bg"} for v in violations
         )
-
-    def test_async_writer_clean_under_sanitizer(self, tsan):
-        coll = make_collection(async_writes=True)
-        data = sift_like(600, dim=8, seed=2)
-        for start in range(0, 600, 200):
-            coll.insert({"emb": data[start : start + 200]})
-        coll.flush()
-        assert coll.num_entities == 600
-        report = tsan.report()
-        assert report["lock_order_violations"] == []
-        assert report["unguarded_mutations"] == []
