@@ -6,13 +6,24 @@ once for every query probing it.  This is the real (measured, not
 modeled) engine-level speedup behind the Milvus curves in Fig. 8.
 
 Both sides run the production probe (``IVFIndexBase._search_pruned``):
-one ``search`` of ``b`` queries — every probed bucket scored once for
-all its queries — against ``b`` searches of one query each, where every
-query streams its buckets alone.
+one ``search`` of ``b`` queries — bucket-major once the batch shares
+buckets (from ``b = 64`` here), every probed bucket scored once for all
+its queries — against ``b`` searches of one query each, where every
+query streams its buckets alone (query-major).
+
+The probe has two regimes, and ``probes_query_major`` picks one per
+request from ``nq``, ``nprobe`` and ``nlist``.  ``--regimes`` prints
+the sweep that rule was fitted to and is judged by (a report, not a
+gate; recorded in EXPERIMENTS.md, "IVF probe regimes"): both regimes
+called directly over ``nq`` x ``nprobe`` x {2k, 8k, 30k rows} x
+{unfiltered, 10 % ``row_filter``}, the time of query-major over
+bucket-major, and whether the rule took the faster side.
 """
 
 from __future__ import annotations
 
+import argparse
+import sys
 import time
 
 import numpy as np
@@ -21,6 +32,7 @@ import pytest
 from repro.bench import print_series
 from repro.datasets import random_queries, sift_like
 from repro.index import IVFFlatIndex
+from repro.index.ivf_common import probes_query_major
 
 N = 30000
 DIM = 48
@@ -93,7 +105,103 @@ def test_benchmark_bucket_major(benchmark):
     benchmark(lambda: index.search(queries[:256], K, nprobe=16))
 
 
-def main():
+# -- the regime sweep -------------------------------------------------------------
+
+SWEEP_ROWS = (2000, 8000, 30000)
+SWEEP_NQ = (1, 2, 8, 16, 64)
+SWEEP_NPROBE = (4, 8, 16, 32, 64)
+SWEEP_DIM, SWEEP_NLIST = 64, 128
+
+
+def time_regimes(index, queries, nprobe, row_filter, budget=0.3):
+    """Best seconds of one probe in each regime, ``(bucket-major,
+    query-major)``, after the coarse step they share.  The two take
+    turns until ``budget`` is spent, so a slow stretch of the machine
+    lands on both."""
+    buckets = index.select_buckets(queries, nprobe)
+    best = [float("inf"), float("inf")]
+    spent = 0.0
+    while spent < budget:
+        for query_major in (False, True):
+            t0 = time.perf_counter()
+            index._search_pruned(queries, K, buckets, row_filter, query_major)
+            took = time.perf_counter() - t0
+            best[query_major] = min(best[query_major], took)
+            spent += took
+    return best
+
+
+def regime_sweep(nlist=SWEEP_NLIST):
+    """Rows ``(n, filtered, nq, nprobe, bucket-major s, query-major s)``."""
+    rows = []
+    for n in SWEEP_ROWS:
+        data = sift_like(n, dim=SWEEP_DIM, n_clusters=64, seed=0)
+        queries = random_queries(data, max(SWEEP_NQ), seed=1)
+        index = IVFFlatIndex(SWEEP_DIM, nlist=nlist, seed=0)
+        index.train(data)
+        index.add(data)
+        index.warm()
+        tenth = np.sort(np.random.default_rng(2).choice(n, n // 10, replace=False))
+        for row_filter in (None, tenth.astype(np.int64)):
+            for nq in SWEEP_NQ:
+                for nprobe in SWEEP_NPROBE:
+                    if nprobe > nlist:
+                        continue
+                    times = time_regimes(index, queries[:nq], nprobe, row_filter)
+                    rows.append((n, row_filter is not None, nq, nprobe, *times))
+    return rows
+
+
+def format_regime_sweep(rows, nlist=SWEEP_NLIST) -> str:
+    """The sweep as a markdown table, one line per (rows, filter, nq):
+    query-major time / bucket-major time at each ``nprobe``; ``*`` where
+    the rule runs query-major, ``!`` where the regime it runs is more
+    than 10 % slower than the other."""
+    nprobes = [p for p in SWEEP_NPROBE if p <= nlist]
+    lines = [
+        f"IVF_FLAT, dim {SWEEP_DIM}, nlist {nlist}, k {K}: time of "
+        "query-major / bucket-major, and the faster one's time, for the "
+        "probe after the shared coarse step; `*` = the rule runs "
+        "query-major, `!` = the rule's side is > 10 % slower.",
+        "",
+        "| rows | filter | nq | " + " | ".join(
+            f"nprobe {p}" for p in nprobes) + " |",
+        "|---|---|---|" + "---|" * len(nprobes),
+    ]
+    cells = {}
+    for n, filtered, nq, nprobe, bucket_s, query_s in rows:
+        ratio = query_s / bucket_s
+        chosen = probes_query_major(nq, nprobe, nlist)
+        wrong = ratio > 1.1 if chosen else ratio < 1 / 1.1
+        cells[n, filtered, nq, nprobe] = (
+            f"{ratio:.2f}{'*' if chosen else ''}{'!' if wrong else ''}"
+            f" ({min(bucket_s, query_s) * 1e6:.0f} us)")
+    for n in SWEEP_ROWS:
+        for filtered in (False, True):
+            for nq in SWEEP_NQ:
+                lines.append(
+                    f"| {n} | {'10 %' if filtered else 'none'} | {nq} | "
+                    + " | ".join(cells[n, filtered, nq, p] for p in nprobes)
+                    + " |")
+    return "\n".join(lines)
+
+
+def main(argv=()):
+    parser = argparse.ArgumentParser(
+        description="Batched-IVF ablation; --regimes prints the probe-regime sweep.")
+    parser.add_argument("--regimes", action="store_true",
+                        help="print the probe-regime sweep instead")
+    parser.add_argument("--nlist", type=int, default=SWEEP_NLIST,
+                        help="lists of the swept index (default %(default)s)")
+    parser.add_argument("--out", help="also write the sweep table to this file")
+    args = parser.parse_args(argv)
+    if args.regimes:
+        table = format_regime_sweep(regime_sweep(args.nlist), args.nlist)
+        print(table)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(table + "\n")
+        return
     rows = run_sweep()
     print("=== Ablation: per-query vs bucket-major IVF execution ===")
     print_series(
@@ -106,4 +214,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -170,7 +170,8 @@ class RestRouter:
                     return RestResponse(400, {"error": str(exc)})
                 except KeyError as exc:
                     return RestResponse(400, {"error": f"missing field: {exc}"})
-                except (ValueError, TypeError) as exc:
+                except (ValueError, TypeError, OverflowError) as exc:
+                    # OverflowError: a JSON number no int or float32 holds
                     return RestResponse(400, {"error": str(exc)})
         return RestResponse(404, {"error": f"no route for {method} {path}"})
 
@@ -237,7 +238,7 @@ class RestRouter:
         queries = np.asarray(body["queries"], dtype=np.float32)
         filter_spec = self._parse_filter(body.get("filter"))
         hits = self.client.search(
-            name, body["field"], queries, int(body.get("k", 10)),
+            name, body["field"], queries, body.get("k", 10),
             filter=filter_spec, **body.get("params", {}),
         )
         return RestResponse(200, {
@@ -254,7 +255,7 @@ class RestRouter:
         queries = np.asarray(body["queries"], dtype=np.float32)
         filter_spec = self._parse_filter(body.get("filter"))
         explained = self.client.search(
-            name, body["field"], queries, int(body.get("k", 10)),
+            name, body["field"], queries, body.get("k", 10),
             filter=filter_spec, explain=True, **body.get("params", {}),
         )
         return RestResponse(200, {

@@ -21,6 +21,7 @@ selectivity and feeds the executed counters back.
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -48,6 +49,11 @@ from repro.utils.sanitizer import maybe_sanitize
 
 #: an attribute range filter: (attribute_name, low, high), inclusive.
 AttributeFilter = Tuple[str, float, float]
+
+#: most results one query may ask for: Milvus's own cap (paper Sec. 3.3,
+#: footnote 5), and where the multi-vector merge stops widening its k'.
+#: What a request can make the engine allocate is ``nq`` times it.
+MAX_TOPK = 16384
 
 
 class Collection:
@@ -205,6 +211,7 @@ class Collection:
           ``("color", "in", ["red", "blue"])``, served from the
           inverted-list / bitmap categorical indexes.
         """
+        queries, k = self._check_search(field, queries, k, snapshot)
         obs = get_obs()
         # explain always gets its own profile; otherwise profile every
         # top-level search when observability is on (nested searches —
@@ -255,6 +262,39 @@ class Collection:
             return ExplainedResult(result=result, plan=plan, profile=profile)
         return result
 
+    def _check_search(self, field, queries, k, snapshot) -> Tuple[np.ndarray, int]:
+        """Refuse a search that cannot be served, naming the argument.
+
+        The one validation boundary of the read path — the SDK and the
+        REST router both arrive here — so nothing below it sees an
+        unknown field, a ``k`` it cannot allocate for, or queries of
+        the wrong shape or with NaN/infinite entries (which would
+        otherwise come back as an empty ``200``).  Returns the queries
+        as an ``(nq, dim)`` float32 matrix and ``k`` as an ``int``.
+        """
+        dim = self.schema.vector_field(field).dim
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise InvalidQueryError(f"k must be an integer, got {k!r}") from None
+        if not 1 <= k <= MAX_TOPK:
+            raise InvalidQueryError(f"k must be between 1 and {MAX_TOPK}, got {k}")
+        queries = np.asarray(queries, dtype=np.float32)
+        if queries.ndim == 1:
+            queries = queries[np.newaxis, :]
+        if queries.ndim != 2 or queries.shape[1] != dim:
+            raise InvalidQueryError(
+                f"queries must be {dim}-dimensional vectors for field "
+                f"{field!r}, got shape {queries.shape}"
+            )
+        if not np.isfinite(queries).all():
+            raise InvalidQueryError("queries must be finite: found NaN or infinity")
+        if snapshot is not None and not isinstance(snapshot, Snapshot):
+            raise InvalidQueryError(
+                f"snapshot must come from LSMManager.snapshot(), got {snapshot!r}"
+            )
+        return queries, k
+
     def _search_impl(
         self,
         field: str,
@@ -266,7 +306,6 @@ class Collection:
         pool_size: Optional[int] = None,
         **search_params,
     ) -> SearchResult:
-        self.schema.vector_field(field)
         if filter is None:
             return self._lsm.search(
                 field, queries, k, snapshot=snapshot,
@@ -280,7 +319,6 @@ class Collection:
                 stage.set_attr("admissible_rows", int(len(admissible)))
             if len(admissible) == 0:
                 metric = get_metric(self.schema.vector_field(field).metric)
-                queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
                 return SearchResult.empty(len(queries), k, metric)
             return self._adaptive_filtered_search(
                 field, queries, k, filter, admissible, snap,
@@ -371,7 +409,7 @@ class Collection:
             if name in knob_names
         }
         knobs.update(search_params)
-        nq = len(np.atleast_2d(np.asarray(queries)))
+        nq = len(queries)
         node = current_node()
         if node is not None:
             # EXPLAIN's filter section, rendered before observe() below
@@ -416,12 +454,11 @@ class Collection:
             parallel=parallel, pool_size=pool_size, **knobs
         )
         metric = get_metric(self.schema.vector_field(field).metric)
-        queries_2d = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        out = SearchResult.empty(len(queries_2d), k, metric)
+        out = SearchResult.empty(len(queries), k, metric)
         want = min(k, len(admissible))
         short = False
         pruned = 0
-        for qi in range(len(queries_2d)):
+        for qi in range(len(queries)):
             valid = raw.ids[qi] >= 0
             ids_row = raw.ids[qi][valid]
             keep = sorted_membership(ids_row, admissible)

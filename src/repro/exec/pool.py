@@ -57,6 +57,11 @@ __all__ = [
 
 #: cap on the auto-sized pool; REPRO_POOL_SIZE / pool_size override.
 MAX_DEFAULT_WORKERS = 8
+#: the auto-sized pool's width: ``min(8, cpu_count)`` but at least 2, so
+#: enabling ``REPRO_PARALLEL=1`` exercises real pool threads even on
+#: single-core CI runners.  Asked of the machine once, here, and not per
+#: search: ``os.cpu_count()`` is a ~18 us system call.
+_MACHINE_WORKERS = min(MAX_DEFAULT_WORKERS, max(2, os.cpu_count() or 1))
 
 
 class ExecTimeoutError(TimeoutError):
@@ -64,16 +69,12 @@ class ExecTimeoutError(TimeoutError):
 
 
 def default_pool_size() -> int:
-    """Worker count when none is requested explicitly.
-
-    ``REPRO_POOL_SIZE`` wins; otherwise ``min(8, cpu_count)`` but at
-    least 2, so enabling ``REPRO_PARALLEL=1`` exercises real pool
-    threads even on single-core CI runners.
-    """
+    """Worker count when none is requested explicitly:
+    ``REPRO_POOL_SIZE`` if set, else the machine's width."""
     env = os.environ.get("REPRO_POOL_SIZE")
     if env:
         return max(1, int(env))
-    return min(MAX_DEFAULT_WORKERS, max(2, os.cpu_count() or 1))
+    return _MACHINE_WORKERS
 
 
 def parallel_enabled(override: Optional[bool] = None) -> bool:

@@ -14,12 +14,15 @@ The lists are stored contiguously (:class:`InvertedLists`: one
 ``offsets`` / ``ids`` / ``codes`` CSR per index, the layout of the
 Faiss library paper) and read through an immutable snapshot, so the
 read path takes no lock.  The probe (``_search_pruned``) is
-bucket-major — a block of queries reuses each bucket, paper
-Sec. 3.2.1 — and threshold-pruned: a row is compared with the
-query's k-th best score *before* it is kept, so no per-bucket top-k is
-ever taken.  It is the only probe; the definition it must reproduce —
-results and work counters — is the plain-numpy oracle in
-``tests/test_ivf_scan.py``.
+threshold-pruned: a row is compared with the query's k-th best score
+*before* it is kept, so no per-bucket top-k is ever taken.  It runs in
+one of two regimes, chosen per request by :func:`probes_query_major`
+from the request's shape and ``nlist``: bucket-major — a block of
+queries reuses each bucket, paper Sec. 3.2.1 — when the queries share
+buckets, query-major — each query straight down its own contiguous
+lists, the Faiss library paper's scan — when they do not.  The
+definition both must reproduce — results and work counters — is the
+plain-numpy oracle in ``tests/test_ivf_scan.py``.
 """
 
 from __future__ import annotations
@@ -276,7 +279,10 @@ class IVFIndexBase(VectorIndex):
         if params:
             raise TypeError(f"unknown search params: {sorted(params)}")
         bucket_ids = self.select_buckets(queries, nprobe)
-        return self._search_pruned(queries, k, bucket_ids, row_filter)
+        return self._search_pruned(
+            queries, k, bucket_ids, row_filter,
+            probes_query_major(*bucket_ids.shape, self.nlist),
+        )
 
     def _search_pruned(
         self,
@@ -284,25 +290,20 @@ class IVFIndexBase(VectorIndex):
         k: int,
         bucket_ids: np.ndarray,
         row_filter: Optional[np.ndarray],
+        query_major: bool,
     ) -> SearchResult:
-        """Threshold-pruned, bucket-major probe over the CSR snapshot.
+        """Threshold-pruned probe over the CSR snapshot, in the regime
+        ``query_major`` names (:func:`probes_query_major` chooses it).
 
-        Pass 1 scans each query's *nearest* bucket and takes the k-th
-        best score there as that query's threshold (infinite when the
-        bucket holds fewer than k admissible rows).  Pass 2 scans the
-        remaining (query, bucket) pairs and keeps only rows at or under
-        the threshold — a compare and a ``nonzero`` per bucket where a
-        per-bucket top-k would be an ``argpartition`` over every score.
-        Both passes are bucket-major: the pairs are grouped by bucket
-        with one argsort and each distinct bucket is scored once for
-        all its queries.  Every probed row is scored exactly once and
-        every row of the true top-k is at or under the threshold, so
-        one sort of the few survivors — by (score, CSR position), which
-        does not depend on a query's batch-mates — is exact over the
-        probed rows.  Work counters follow from the bucket sizes alone.
+        Either regime scores every probed admissible row exactly once
+        and returns, per query, every row at or under a threshold that
+        is no better than the query's k-th best score.  One sort of
+        those few survivors — by (score, CSR position), which depends
+        neither on a query's batch-mates nor on the regime — is then
+        exact over the probed rows.  Work counters follow from the
+        bucket sizes alone.
         """
         snap = self._snapshot()
-        nq, nprobe = bucket_ids.shape
         # bounds[b]:bounds[b + 1] delimits bucket b's admissible rows:
         # CSR positions when unfiltered, indices into `positions` (the
         # filter translated once into ascending CSR positions) otherwise.
@@ -321,56 +322,15 @@ class IVFIndexBase(VectorIndex):
             )
 
         scan = self._begin_scan(queries, snap)
-        threshold = np.full(nq, np.inf, dtype=np.float32)
-
-        def probe(pair_q: np.ndarray, pair_b: np.ndarray, first: bool):
-            """Scan (query, bucket) pairs bucket-major; the survivors as
-            (query, index into ``bounds`` space, keyed score) arrays."""
-            order = np.argsort(pair_b, kind="stable")
-            pair_q, pair_b = pair_q[order], pair_b[order]
-            cuts = (np.flatnonzero(np.diff(pair_b)) + 1).tolist()
-            starts = [0, *cuts]
-            buckets = pair_b[starts]
-            spans = zip(starts, [*cuts, len(pair_b)],
-                        bounds[buckets].tolist(), bounds[buckets + 1].tolist())
-            hits, keys, groups = [], [], []
-            for start, stop, lo, hi in spans:
-                if lo == hi:
-                    continue
-                qidx = pair_q[start:stop]
-                rows = slice(lo, hi) if positions is None else positions[lo:hi]
-                keyed = scan.keyed(rows, qidx)
-                if first and hi - lo >= k:
-                    threshold[qidx] = np.partition(keyed, k - 1, axis=0)[k - 1]
-                # flat indices into the (rows, queries) block: a 2-D
-                # nonzero costs three times the flat one
-                hit = (keyed <= threshold[qidx]).ravel().nonzero()[0]
-                if len(hit):
-                    hits.append(hit)
-                    keys.append(keyed.take(hit))
-                    groups.append((len(hit), stop - start, start, lo))
-            if not hits:
-                return pair_q[:0], pair_q[:0], threshold[:0]
-            groups = np.array(groups)
-            width, start, lo = np.repeat(groups[:, 1:], groups[:, 0], axis=0).T
-            row, col = np.divmod(np.concatenate(hits), width)
-            return pair_q[start + col], lo + row, np.concatenate(keys)
-
-        all_q = np.arange(nq)
-        found = [probe(all_q, bucket_ids[:, 0], first=True)]
-        if nprobe > 1:
-            found.append(probe(
-                np.repeat(all_q, nprobe - 1), bucket_ids[:, 1:].ravel(),
-                first=False,
-            ))
-        q, where, key = (np.concatenate(part) for part in zip(*found))
+        probe = _probe_query_major if query_major else _probe_bucket_major
+        q, where, key = probe(scan, k, bucket_ids, positions, bounds)
         pos = where if positions is None else positions[where]
 
-        result = SearchResult.empty(nq, k, self.metric)
+        result = SearchResult.empty(len(queries), k, self.metric)
         order = np.lexsort((pos, key, q))
         q = q[order]
         # rank within the query's run of the sorted survivors
-        rank = np.arange(len(q)) - np.searchsorted(q, q)
+        rank = np.arange(len(q)) - q.searchsorted(q)
         top = rank < k
         order, q, rank = order[top], q[top], rank[top]
         result.ids[q, rank] = snap.ids[pos[order]]
@@ -428,10 +388,12 @@ class IVFIndexBase(VectorIndex):
         that depends on the queries alone is recomputed per bucket.  It
         offers ``keyed(rows, qidx)`` — a C-contiguous ``(rows, queries)``
         block scoring the CSR rows ``rows`` (a slice or a position
-        array) against the request's queries ``qidx``, keyed so that
-        lower is better — and ``final(qidx, keyed)``, the real metric
-        scores.  The default serves any dense metric through the
-        reference scorer.
+        array) against the request's queries ``qidx`` (an index array
+        or a slice), keyed so that lower is better — and ``final(qidx,
+        keyed)``, the real metric scores.  A scan that can score CSR
+        ranges where they lie also offers ``keyed_ranges(ranges, qi)``:
+        one query against consecutive ``(lo, hi)`` ranges, 1-D.  The
+        default serves any dense metric through the reference scorer.
         """
         return _ReferenceScan(self, queries, snap.codes)
 
@@ -463,6 +425,132 @@ class IVFIndexBase(VectorIndex):
             base["bucket_min"] = int(sizes.min())
             base["bucket_max"] = int(sizes.max())
         return base
+
+
+#: (query, bucket) pairs per list up to which a request is probed
+#: query-major.  Measured, not derived: see :func:`probes_query_major`.
+QUERY_MAJOR_PAIRS_PER_LIST = 2
+
+
+def probes_query_major(nq: int, nprobe: int, nlist: int) -> bool:
+    """Whether a request of ``nq`` queries probing ``nprobe`` of
+    ``nlist`` buckets each is scanned query-major.
+
+    The bucket-major probe pays an argsort of the (query, bucket) pairs
+    and a compare, a ``nonzero`` and a gather per distinct bucket so
+    that a bucket is scored once for all the queries that probe it
+    (paper Sec. 3.2.1).  That buys nothing until queries share buckets:
+    with few pairs per list nearly every probed bucket has one query,
+    and each query goes straight down its own lists instead.  Where
+    sharing starts to pay was measured — the regime sweep of
+    ``benchmarks/bench_ablation_batched_ivf.py --regimes``, recorded in
+    EXPERIMENTS.md: from 2k to 30k rows and 32 to 512 lists query-major
+    takes 0.4-0.9x the time of bucket-major up to one pair per list,
+    0.6-1.2x at two and 0.9-5x from four on.
+    """
+    return nq * nprobe <= QUERY_MAJOR_PAIRS_PER_LIST * nlist
+
+
+def _probe_bucket_major(scan, k, bucket_ids, positions, bounds):
+    """Survivors of a probe that reuses each bucket across queries, as
+    (query, index into ``bounds`` space, keyed score) arrays.
+
+    Pass 1 scans each query's *nearest* bucket and takes the k-th best
+    score there as that query's threshold (infinite when the bucket
+    holds fewer than k admissible rows).  Pass 2 scans the remaining
+    (query, bucket) pairs and keeps only rows at or under the
+    threshold — a compare and a ``nonzero`` per bucket where a
+    per-bucket top-k would be an ``argpartition`` over every score.
+    In both passes the pairs are grouped by bucket with one argsort and
+    each distinct bucket is scored once for all its queries.
+    """
+    nq, nprobe = bucket_ids.shape
+    threshold = np.full(nq, np.inf, dtype=np.float32)
+
+    def probe(pair_q: np.ndarray, pair_b: np.ndarray, first: bool):
+        order = np.argsort(pair_b, kind="stable")
+        pair_q, pair_b = pair_q[order], pair_b[order]
+        cuts = (np.flatnonzero(np.diff(pair_b)) + 1).tolist()
+        starts = [0, *cuts]
+        buckets = pair_b[starts]
+        spans = zip(starts, [*cuts, len(pair_b)],
+                    bounds[buckets].tolist(), bounds[buckets + 1].tolist())
+        hits, keys, groups = [], [], []
+        for start, stop, lo, hi in spans:
+            if lo == hi:
+                continue
+            qidx = pair_q[start:stop]
+            rows = slice(lo, hi) if positions is None else positions[lo:hi]
+            keyed = scan.keyed(rows, qidx)
+            if first and hi - lo >= k:
+                threshold[qidx] = np.partition(keyed, k - 1, axis=0)[k - 1]
+            # flat indices into the (rows, queries) block: a 2-D
+            # nonzero costs three times the flat one
+            hit = (keyed <= threshold[qidx]).ravel().nonzero()[0]
+            if len(hit):
+                hits.append(hit)
+                keys.append(keyed.take(hit))
+                groups.append((len(hit), stop - start, start, lo))
+        if not hits:
+            return pair_q[:0], pair_q[:0], threshold[:0]
+        groups = np.array(groups)
+        width, start, lo = np.repeat(groups[:, 1:], groups[:, 0], axis=0).T
+        row, col = np.divmod(np.concatenate(hits), width)
+        return pair_q[start + col], lo + row, np.concatenate(keys)
+
+    all_q = np.arange(nq)
+    found = [probe(all_q, bucket_ids[:, 0], first=True)]
+    if nprobe > 1:
+        found.append(probe(
+            np.repeat(all_q, nprobe - 1), bucket_ids[:, 1:].ravel(),
+            first=False,
+        ))
+    return tuple(np.concatenate(part) for part in zip(*found))
+
+
+def _probe_query_major(scan, k, bucket_ids, positions, bounds):
+    """Survivors, as :func:`_probe_bucket_major` returns them, of a
+    probe that takes each query straight down its own lists.
+
+    A query's probed ranges are scored into one array — range by range
+    on CSR views where the scan state can (``keyed_ranges``), in one
+    gather otherwise — and one ``partition`` of it gives the query's
+    exact k-th best score as the threshold.  Nothing is sorted,
+    compared or gathered per bucket.
+    """
+    lo, hi = bounds[bucket_ids], bounds[bucket_ids + 1]
+    sizes = (hi - lo).ravel()
+    ends = sizes.cumsum()
+    # Probed rows are numbered query by query, each query's ranges in
+    # probe order; base[p] turns the numbers of pair p's rows into
+    # their indices in bounds space.
+    base = lo.ravel() - (ends - sizes)
+    by_range = getattr(scan, "keyed_ranges", None) if positions is None else None
+    if by_range is None:
+        rows = base.repeat(sizes)
+        rows += np.arange(len(rows))
+        if positions is not None:
+            rows = positions[rows]
+    hits, keys = [], []
+    stop = 0
+    for qi, (los, his) in enumerate(zip(lo.tolist(), hi.tolist())):
+        start, stop = stop, stop + sum(his) - sum(los)
+        if start == stop:
+            continue
+        if by_range is not None:
+            keyed = by_range([(a, b) for a, b in zip(los, his) if a < b], qi)
+        else:
+            keyed = scan.keyed(rows[start:stop], slice(qi, qi + 1))[:, 0]
+        kth = min(k, stop - start) - 1
+        hit = (keyed <= np.partition(keyed, kth)[kth]).nonzero()[0]
+        keys.append(keyed[hit])
+        hit += start
+        hits.append(hit)
+    if not hits:
+        return base[:0], base[:0], np.empty(0, dtype=np.float32)
+    hit = np.concatenate(hits)
+    pair = ends.searchsorted(hit, side="right")
+    return pair // bucket_ids.shape[1], hit + base[pair], np.concatenate(keys)
 
 
 class _ReferenceScan:

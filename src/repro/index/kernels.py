@@ -232,7 +232,7 @@ class GemmScan:
     ranking); :meth:`final` restores real scores for the survivors.
     """
 
-    __slots__ = ("lhs", "data", "q_add", "row_add", "row_scale", "q_const", "l2")
+    __slots__ = ("lhs", "data", "q_add", "term", "q_const", "l2")
 
     def __init__(
         self,
@@ -252,35 +252,53 @@ class GemmScan:
         qb = None if shift is None else q @ shift.astype(np.float32)
         self.data = data
         self.l2 = metric_name == "l2"
-        self.q_add = self.row_add = self.row_scale = None
+        #: per row, added to an L2 product and multiplied into a cosine one
+        self.term = term
+        self.q_add = None
         self.q_const = np.zeros(len(q), dtype=np.float32)
         if self.l2:
             self.lhs = -2.0 * qa
-            self.row_add = term[:, np.newaxis]
             self.q_const = np.einsum("ij,ij->i", q, q)
             if qb is not None:
                 self.q_const -= 2.0 * qb
         else:
             self.lhs = -qa
             if metric_name == "cosine":
-                self.row_scale = term[:, np.newaxis]
                 self.q_add = None if qb is None else -qb
             elif qb is not None:
                 self.q_const = qb
 
-    def keyed(self, rows, qidx: np.ndarray) -> np.ndarray:
+    def keyed(self, rows, qidx) -> np.ndarray:
         """Keyed scores ``(rows, queries)``; ``rows`` is a CSR slice (a
         view, no copy) or an array of CSR positions.  Rows on the left:
         at bucket-sized operands this GEMM orientation is ~1.5x the
         speed of queries-on-the-left."""
         out = self.data[rows] @ self.lhs[qidx].T
+        self._finish(out, qidx, (rows, np.newaxis))
+        return out
+
+    def keyed_ranges(self, ranges, qi: int) -> np.ndarray:
+        """Keyed scores of the one query ``qi`` over the CSR ranges
+        ``[(lo, hi), ...]``, end to end in one 1-D array: a GEMV per
+        range, on a view, written where it belongs."""
+        out = np.empty(sum(hi - lo for lo, hi in ranges), dtype=np.float32)
+        lhs, at = self.lhs[qi], 0
+        for lo, hi in ranges:
+            part = out[at:at + hi - lo]
+            np.dot(self.data[lo:hi], lhs, out=part)
+            self._finish(part, qi, slice(lo, hi))
+            at += hi - lo
+        return out
+
+    def _finish(self, out: np.ndarray, qidx, rows) -> None:
+        """Apply the query-side and row-side terms to raw products."""
         if self.q_add is not None:
             out += self.q_add[qidx]
-        if self.row_add is not None:
-            out += self.row_add[rows]
-        elif self.row_scale is not None:
-            out *= self.row_scale[rows]
-        return out
+        if self.term is not None:
+            if self.l2:
+                out += self.term[rows]
+            else:
+                out *= self.term[rows]
 
     def final(self, qidx: np.ndarray, keyed: np.ndarray) -> np.ndarray:
         """Real metric scores from keyed ones (``qidx`` broadcastable)."""

@@ -7,7 +7,8 @@ constructible by name everywhere (collections, benchmarks, config).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Type
+import inspect
+from typing import Dict, List, Type
 
 from repro.index.annoy import AnnoyIndex
 from repro.index.base import VectorIndex
@@ -41,16 +42,30 @@ def register_index(cls: Type[VectorIndex], overwrite: bool = False) -> Type[Vect
     return cls
 
 
-def create_index(index_type: str, dim: int, metric="l2", **params) -> VectorIndex:
-    """Instantiate an index by registry name."""
-    key = index_type.upper()
+def _registered(index_type: str) -> Type[VectorIndex]:
     try:
-        cls = _REGISTRY[key]
+        return _REGISTRY[index_type.upper()]
     except KeyError:
         raise KeyError(
             f"unknown index type {index_type!r}; available: {sorted(_REGISTRY)}"
         ) from None
-    return cls(dim, metric=metric, **params)
+
+
+def create_index(index_type: str, dim: int, metric="l2", **params) -> VectorIndex:
+    """Instantiate an index by registry name."""
+    return _registered(index_type)(dim, metric=metric, **params)
+
+
+def resolved_index_params(index_type: str, params: Dict[str, object]) -> Dict[str, object]:
+    """``params`` with the registered constructor's defaults filled in:
+    two requests that resolve equal build the same index."""
+    signature = inspect.signature(_registered(index_type).__init__)
+    resolved = {
+        name: p.default for name, p in signature.parameters.items()
+        if p.default is not p.empty and name != "metric"
+    }
+    resolved.update(params)
+    return resolved
 
 
 def available_index_types() -> List[str]:

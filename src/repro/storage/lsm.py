@@ -60,6 +60,7 @@ import numpy as np
 
 from repro.exec import QueryExecutor
 from repro.index.base import SearchResult
+from repro.index.registry import resolved_index_params
 from repro.metrics import get_metric
 from repro.obs import get_obs
 from repro.obs import events as obs_events
@@ -887,6 +888,10 @@ class LSMManager:
 
         The paper: "users are allowed to manually build indexes for
         segments of any size if necessary."  Returns segments indexed.
+        Idempotent: a segment whose attached index already has this
+        type and, once the constructor's defaults are filled in, these
+        parameters is counted and left as it is — the seeded training
+        would only reproduce it.
         """
         count = 0
         itype = index_type or self.config.index_type
@@ -897,13 +902,25 @@ class LSMManager:
             merged_params.update(params)
         else:
             merged_params = dict(params)
+        wanted = (itype.upper(), resolved_index_params(itype, merged_params))
         for seg_id in self.manifest.live_segment_ids():
             segment = self.bufferpool.get(seg_id)
             if segment.num_rows == 0:
                 continue
-            self._build_segment_index(segment, seg_id, field, itype, merged_params)
+            if not (segment.has_index(field)
+                    and self._resolved_index_spec(seg_id, field) == wanted):
+                self._build_segment_index(segment, seg_id, field, itype, merged_params)
             count += 1
         return count
+
+    def _resolved_index_spec(self, seg_id: int, field: str) -> Optional[tuple]:
+        """(type, resolved parameters) the segment's index was built with."""
+        with self._index_lock:
+            spec = self._index_specs.get(seg_id, {}).get(field)
+        if spec is None:
+            return None
+        itype, params = spec
+        return itype.upper(), resolved_index_params(itype, params)
 
     def _record_index(self, seg_id: int, field: str, itype: str, params: dict) -> None:
         # Leaf lock only around the catalog write: touching the
@@ -1035,7 +1052,6 @@ class LSMManager:
                             **search_params,
                         )
 
-                executor = QueryExecutor(parallel=parallel, pool_size=pool_size)
                 # Per-segment profile stages are pre-created here, in
                 # submission order, and entered inside each task: child
                 # order and counter placement are then identical for
@@ -1052,14 +1068,22 @@ class LSMManager:
                     ): scan_frozen(fid, stage)
                     for f in snap.frozen_ids
                 )
-                partials = executor.map_ordered(tasks, label="segment.search")
-                ids, scores = merge_topk_batch(
-                    [(p.ids, p.scores) for p in partials],
-                    k,
-                    metric.higher_is_better,
-                    nq=len(queries),
-                    dtype=np.float64,
-                )
+                if len(tasks) == 1:
+                    # One scan has nothing to fan out or to merge with:
+                    # its (nq, k) result, best-first and padded, is
+                    # what the merge below would hand back.
+                    only = tasks[0]()
+                    ids, scores = only.ids, only.scores.astype(np.float64, copy=False)
+                else:
+                    executor = QueryExecutor(parallel=parallel, pool_size=pool_size)
+                    partials = executor.map_ordered(tasks, label="segment.search")
+                    ids, scores = merge_topk_batch(
+                        [(p.ids, p.scores) for p in partials],
+                        k,
+                        metric.higher_is_better,
+                        nq=len(queries),
+                        dtype=np.float64,
+                    )
                 result = SearchResult(ids, scores)
                 elapsed = time.perf_counter() - started
             obs.registry.counter("lsm_searches_total").inc()

@@ -41,6 +41,8 @@ from repro.utils import sorted_membership, topk_from_scores
 #: vector fields spec: name -> (dim, metric_name)
 VectorSpecs = Dict[str, Tuple[int, str]]
 
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
 
 class Segment:
     """One immutable sealed segment."""
@@ -77,6 +79,9 @@ class Segment:
         # Segments are immutable after sealing, so the cache is never
         # invalidated — it lives and dies with the segment object.
         self.kernel_cache = NormCache()
+        #: (tombstone array, positions of this segment's rows in it),
+        #: replaced whole by :meth:`_dead_positions`
+        self._dead: Tuple[Optional[np.ndarray], np.ndarray] = (None, _NO_ROWS)
 
     # -- basic properties ---------------------------------------------------
 
@@ -198,10 +203,32 @@ class Segment:
             )
         return self._brute_force(metric, field, queries, k, exclude, row_filter)
 
+    def _dead_positions(self, exclude: Optional[np.ndarray]) -> np.ndarray:
+        """Ascending positions of the rows of this segment that
+        ``exclude`` (sorted tombstoned row ids, any segment's) hides.
+
+        A collection's tombstones mostly live in other segments, and a
+        request only needs this segment's: they are worked out once per
+        tombstone array and remembered under the array's identity.  The
+        manifest never writes into a tombstone array, it replaces it,
+        and a segment never changes, so the same array always means the
+        same positions.  Reader threads publish the pair by one
+        assignment; two that race on a new array store equal answers.
+        """
+        if exclude is None or not len(exclude):
+            return _NO_ROWS
+        known_for, dead = self._dead
+        if known_for is not exclude:
+            dead = np.flatnonzero(sorted_membership(self.row_ids, exclude))
+            self._dead = (exclude, dead)
+        return dead
+
     def _admissible_mask(self, exclude, row_filter) -> Optional[np.ndarray]:
         mask = None
-        if exclude is not None and len(exclude):
-            mask = ~sorted_membership(self.row_ids, exclude)
+        dead = self._dead_positions(exclude)
+        if len(dead):
+            mask = np.ones(len(self.row_ids), dtype=bool)
+            mask[dead] = False
         if row_filter is not None:
             allow = sorted_membership(self.row_ids, row_filter)
             mask = allow if mask is None else (mask & allow)
@@ -255,8 +282,10 @@ class Segment:
         self, index, queries, k, exclude, row_filter, **search_params
     ) -> SearchResult:
         metric = index.metric
-        n_excluded = 0 if exclude is None else len(exclude)
-        # Oversearch so post-filtering tombstones still yields k rows.
+        dead_rows = self._dead_positions(exclude)
+        n_excluded = len(dead_rows)
+        # Oversearch by this segment's own dead rows, so that dropping
+        # them still yields k; tombstones of other segments cost nothing.
         k_eff = min(k + n_excluded, index.ntotal) if n_excluded else k
         if row_filter is not None:
             # IVF indexes support pushdown; others fall back to brute force.
@@ -273,15 +302,16 @@ class Segment:
         # Drop tombstoned hits and close the gaps, every query at once.
         # A query's scan of its best-first row stops at the first pad or
         # once k live hits are kept; only tombstones met before that
-        # point count as pruned.  The block is k + len(exclude) wide and
+        # point count as pruned.  The block is k + n_excluded wide and
         # the stop is usually near k, so look at a prefix and double it
         # until every query has stopped inside it.
+        dead_ids = self.row_ids[dead_rows]
         width = k
         while True:
             width = min(2 * width, raw.k)
             ids = raw.ids[:, :width]
             valid = np.logical_and.accumulate(ids >= 0, axis=1)
-            dead = valid & sorted_membership(ids.ravel(), exclude).reshape(ids.shape)
+            dead = valid & sorted_membership(ids.ravel(), dead_ids).reshape(ids.shape)
             live = valid & ~dead
             stopped = (live.sum(axis=1) >= k) | ~valid[:, -1]
             if width == raw.k or stopped.all():

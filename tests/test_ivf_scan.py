@@ -4,9 +4,12 @@ The oracle is the definition of IVF search in plain numpy: assign every
 stored row to its nearest centroid, take the rows of the query's
 ``nprobe`` nearest buckets, drop what a ``row_filter`` excludes, score
 them all in float64 against what the fine quantizer stored (the raw
-vector, or the codec's reconstruction), sort.  The threshold-pruned,
-bucket-major probe must return exactly that, for every index type,
-metric, ``k`` and add order, and must report the work the oracle counts.
+vector, or the codec's reconstruction), sort.  The threshold-pruned
+probe must return exactly that, for every index type, metric, ``k`` and
+add order, and must report the work the oracle counts — in *both* of
+its regimes, bucket-major and query-major, whichever of the two
+``probes_query_major`` would pick for the request: every check below
+runs ``index.search`` and then each regime by name.
 """
 
 import io
@@ -24,6 +27,7 @@ from repro.index import (
     index_from_bytes,
     index_to_bytes,
 )
+from repro.index.ivf_common import probes_query_major
 from repro.obs.profile import QueryProfile
 
 DIM, NLIST = 16, 12
@@ -149,11 +153,35 @@ class Model:
         return out
 
 
+#: regime name -> the ``query_major`` argument of ``_search_pruned``
+REGIMES = {"bucket-major": False, "query-major": True}
+
+
+def search_in(index, regime, queries, k, nprobe, row_filter=None):
+    """What ``index.search`` does on a non-empty index, with the probe
+    regime named by the caller instead of selected from the shape."""
+    queries = index._check_vectors(queries)
+    return index._search_pruned(
+        queries, k, index.select_buckets(queries, nprobe), row_filter,
+        REGIMES[regime])
+
+
 def check_against_oracle(model, queries, k, nprobe, row_filter=None, atol=ATOL):
+    """``index.search`` and each regime called directly, against the
+    oracle; returns what ``index.search`` returned."""
     params = {} if row_filter is None else {"row_filter": row_filter}
-    with QueryProfile("probe") as prof:
-        got = model.index.search(queries, k, nprobe=nprobe, **params)
     want, work = model.search(queries, k, nprobe, row_filter)
+    with QueryProfile("probe") as prof:
+        selected = model.index.search(queries, k, nprobe=nprobe, **params)
+    check_result(model, queries, k, row_filter, atol, selected, prof, want, work)
+    for regime in REGIMES:
+        with QueryProfile("probe") as prof:
+            got = search_in(model.index, regime, queries, k, nprobe, row_filter)
+        check_result(model, queries, k, row_filter, atol, got, prof, want, work)
+    return selected
+
+
+def check_result(model, queries, k, row_filter, atol, got, prof, want, work):
     assert got.ids.shape == got.scores.shape == (len(queries), k)
     sign = -1.0 if model.index.metric.higher_is_better else 1.0
     position = {int(i): p for p, i in enumerate(model.ids)}
@@ -175,7 +203,18 @@ def check_against_oracle(model, queries, k, nprobe, row_filter=None, atol=ATOL):
             assert np.isin(ids[:n], row_filter).all()
     counters = prof.total_counters()
     assert {key: counters.get(key, 0) for key in work} == work
-    return got
+
+
+def same_answer(index, a, ai, b, bi):
+    """Row ``ai`` of result ``a`` answers as row ``bi`` of ``b`` does."""
+    # BLAS may round a dot product (PQ: a table entry) in the last bit
+    # differently at another block shape
+    np.testing.assert_allclose(a.scores[ai], b.scores[bi], rtol=1e-5, atol=1e-4)
+    if not isinstance(index, IVFPQIndex):
+        # a duplicated row ties with its original in exact arithmetic:
+        # the same rows, up to which copy was taken (PQ codes tie far
+        # more rows than the duplicates)
+        np.testing.assert_array_equal(canonical(a.ids[ai]), canonical(b.ids[bi]))
 
 
 # -- fixtures: one built index per (type, metric) -------------------------------
@@ -254,18 +293,12 @@ class TestProbeMatchesOracle:
         break by (score, CSR position), both properties of the row."""
         model = built(itype, metric)
         full = model.index.search(queries, 8, nprobe=4)
+        solos = [lambda q: model.index.search(q, 8, nprobe=4)] + [
+            lambda q, regime=regime: search_in(model.index, regime, q, 8, 4)
+            for regime in REGIMES]
         for qi in (0, 4, 8):
-            solo = model.index.search(queries[qi:qi + 1], 8, nprobe=4)
-            # BLAS may round a dot product (PQ: a table entry) in the
-            # last bit differently at another block shape
-            np.testing.assert_allclose(
-                solo.scores[0], full.scores[qi], rtol=1e-5, atol=1e-4)
-            if not isinstance(model.index, IVFPQIndex):
-                # a duplicated row ties with its original in exact
-                # arithmetic: the same rows, up to which copy was taken
-                # (PQ codes tie far more rows than the duplicates)
-                np.testing.assert_array_equal(
-                    canonical(solo.ids[0]), canonical(full.ids[qi]))
+            for search in solos:
+                same_answer(model.index, search(queries[qi:qi + 1]), 0, full, qi)
 
     def test_exact_ties_come_in_csr_order(self, built, queries, itype, metric):
         if not isinstance(built(itype, metric).index, IVFPQIndex):
@@ -273,14 +306,15 @@ class TestProbeMatchesOracle:
         model = built(itype, metric)
         snap = model.index.lists.snapshot()
         where = {int(i): p for p, i in enumerate(snap.ids)}
-        got = model.index.search(queries, 40, nprobe=NLIST)
-        ties = 0
-        for ids, scores in zip(got.ids, got.scores):
-            pos = np.array([where[int(i)] for i in ids[ids >= 0]])
-            same = np.diff(scores[: len(pos)]) == 0
-            ties += int(same.sum())
-            assert (np.diff(pos)[same] > 0).all()
-        assert ties > 0  # the duplicated rows guarantee some
+        for regime in REGIMES:
+            got = search_in(model.index, regime, queries, 40, NLIST)
+            ties = 0
+            for ids, scores in zip(got.ids, got.scores):
+                pos = np.array([where[int(i)] for i in ids[ids >= 0]])
+                same = np.diff(scores[: len(pos)]) == 0
+                ties += int(same.sum())
+                assert (np.diff(pos)[same] > 0).all()
+            assert ties > 0  # the duplicated rows guarantee some
 
     def test_serialization_round_trip(self, built, queries, itype, metric):
         model = built(itype, metric)
@@ -372,14 +406,60 @@ class TestCustomDenseMetric:
         index = cls(DIM, metric=L1(), nlist=NLIST, seed=0)
         index.train(data)
         index.add(data)
-        got = index.search(queries, 5, nprobe=NLIST)
         stored = data if cls is IVFFlatIndex else index.sq.decode(index.sq.encode(data))
         exact = np.abs(queries[:, None, :] - stored[None, :, :]).sum(axis=2)
-        np.testing.assert_array_equal(got.ids, np.argsort(exact, axis=1)[:, :5])
-        np.testing.assert_allclose(
-            got.scores, np.sort(exact, axis=1)[:, :5], rtol=1e-5)
+        for got in [index.search(queries, 5, nprobe=NLIST)] + [
+                search_in(index, regime, queries, 5, NLIST) for regime in REGIMES]:
+            np.testing.assert_array_equal(got.ids, np.argsort(exact, axis=1)[:, :5])
+            np.testing.assert_allclose(
+                got.scores, np.sort(exact, axis=1)[:, :5], rtol=1e-5)
         hits = index.range_search(queries[:1], float(got.scores[0, 2]), nprobe=NLIST)
         assert [i for i, __ in hits[0]] == got.ids[0, :3].tolist()
+
+
+# -- which regime a request gets ----------------------------------------------------
+
+
+class TestRegimeSelection:
+    @pytest.mark.parametrize("nq,nprobe,nlist,query_major", [
+        (1, 8, 128, True),      # search_single, and mixed_rw per segment
+        (8, 16, 128, True),     # search_filtered: one pair per list
+        (64, 32, 128, False),   # search_batch: sixteen
+        (1, 128, 128, True),    # one query cannot share a bucket with itself
+        (2, 128, 128, True),    # exactly two pairs per list
+        (3, 128, 128, False),
+        (17, 16, 128, False),   # one query past two pairs per list
+        (1, 1, 1, True),
+        (64, 1, 64, True),      # a big batch of single-bucket probes
+        (64, 4, 4096, True),    # ... or over many lists
+        (1000, 8, 128, False),
+    ])
+    def test_rule(self, nq, nprobe, nlist, query_major):
+        assert probes_query_major(nq, nprobe, nlist) is query_major
+
+    def test_rule_sees_the_clamped_nprobe(self):
+        """``nprobe`` above ``nlist`` probes ``nlist`` buckets, and it is
+        that number the rule is given."""
+        index = IVFFlatIndex(DIM, nlist=NLIST, seed=0)
+        index.train(clustered(100, seed=3))
+        assert index.select_buckets(clustered(1, seed=4), 10 ** 6).shape == (1, NLIST)
+
+    @pytest.mark.parametrize("itype", sorted(FACTORIES))
+    def test_a_query_answers_alone_as_inside_a_batch_of_another_regime(self, itype):
+        nlist, nprobe, batch = 24, 4, 64
+        assert probes_query_major(1, nprobe, nlist)
+        assert not probes_query_major(batch, nprobe, nlist)
+        data = clustered(3000, seed=7)
+        codec = {"IVF_PQ": {"m": 4, "nbits": 4},
+                 "IVF_OPQ": {"m": 4, "nbits": 4, "opq_iters": 2}}.get(itype, {})
+        index = type(FACTORIES[itype]("l2"))(DIM, nlist=nlist, seed=0, **codec)
+        index.train(data)
+        index.add(data)
+        queries = clustered(batch, seed=8)
+        full = index.search(queries, 10, nprobe=nprobe)
+        for qi in range(0, batch, 7):
+            same_answer(index, index.search(queries[qi:qi + 1], 10, nprobe=nprobe),
+                        0, full, qi)
 
 
 # -- add and search interleaved ---------------------------------------------------

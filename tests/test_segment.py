@@ -133,6 +133,92 @@ class TestTombstoneCompaction:
         assert prof.total_counters().get("candidates_pruned", 0) == tombstoned
 
 
+class TestOwnDeadRowsOnly:
+    """A segment widens its search, masks and copies for the tombstones
+    that fall on its own rows, worked out once per tombstone array."""
+
+    @pytest.fixture()
+    def indexed(self):
+        data = sift_like(200, dim=16, seed=0)
+        segment = make_segment(0, np.arange(1000, 1200), data, np.zeros(200))
+        segment.build_index("emb", "IVF_FLAT", nlist=8)
+        return segment, data
+
+    @pytest.fixture()
+    def asked_k(self, indexed, monkeypatch):
+        """The ``k`` each index search of the segment was asked for."""
+        index = indexed[0].indexes["emb"]
+        asked = []
+        search = index.search
+        monkeypatch.setattr(
+            index, "search",
+            lambda q, k, **kw: asked.append(k) or search(q, k, **kw))
+        return asked
+
+    def test_tombstones_elsewhere_do_not_widen_the_search(self, indexed, asked_k):
+        segment, data = indexed
+        elsewhere = np.arange(0, 900, dtype=np.int64)  # none of rows 1000..1199
+        got = segment.search("emb", data[:4], 5, nprobe=8, exclude=elsewhere)
+        assert asked_k == [5]
+        want = segment.search("emb", data[:4], 5, nprobe=8)
+        np.testing.assert_array_equal(got.ids, want.ids)
+        np.testing.assert_array_equal(got.scores, want.scores)
+
+    def test_widens_by_its_own_dead_rows(self, indexed, asked_k):
+        segment, data = indexed
+        exclude = np.concatenate([np.arange(900), [1000, 1003, 1100]]).astype(np.int64)
+        got = segment.search("emb", data[:4], 5, nprobe=8, exclude=exclude)
+        assert asked_k == [5 + 3]
+        assert not np.isin(got.ids, exclude).any()
+        assert (got.ids >= 0).all()
+        assert got.ids[1, 0] == 1001  # a live row still finds itself
+
+    def test_brute_force_without_dead_rows_copies_nothing(self, monkeypatch):
+        from repro.storage import segment as segment_module
+
+        data = sift_like(200, dim=16, seed=0)
+        segment = make_segment(0, np.arange(1000, 1200), data, np.zeros(200))
+        scored = []
+        pairwise = segment_module.l2_squared_pairwise
+        monkeypatch.setattr(
+            segment_module, "l2_squared_pairwise",
+            lambda q, d, **kw: scored.append(d) or pairwise(q, d, **kw))
+        elsewhere = np.arange(0, 900, dtype=np.int64)
+        got = segment.search("emb", data[:3], 2, exclude=elsewhere)
+        assert scored[0] is segment.vectors["emb"]  # the matrix itself, no mask
+        assert got.ids[:, 0].tolist() == [1000, 1001, 1002]
+        # with a dead row of its own: masked, and the row is gone
+        got = segment.search(
+            "emb", data[:3], 2, exclude=np.array([5, 1001], dtype=np.int64))
+        assert len(scored[1]) == 199
+        assert 1001 not in got.ids
+
+    def test_worked_out_once_per_tombstone_array(self, indexed, monkeypatch):
+        from repro.storage import segment as segment_module
+
+        segment, data = indexed
+        calls = []
+        membership = segment_module.sorted_membership
+        monkeypatch.setattr(
+            segment_module, "sorted_membership",
+            lambda values, ref: calls.append(len(values)) or membership(values, ref))
+        first = np.array([7, 1002], dtype=np.int64)
+        for __ in range(3):
+            segment.search("emb", data[:2], 3, nprobe=8, exclude=first)
+            segment.search("emb", data[:2], 3, brute_force=True, exclude=first)
+        # one pass over the segment's 200 rows; the rest are post-filters
+        # of the few returned ids
+        assert calls.count(200) == 1
+        # a new array (the manifest replaces it on every delete) is new
+        second = np.array([7, 1002, 1004], dtype=np.int64)
+        got = segment.search("emb", data[:6], 3, nprobe=8, exclude=second)
+        assert calls.count(200) == 2
+        assert not np.isin(got.ids, second).any()
+        # ... and the older array still answers for itself
+        got = segment.search("emb", data[:6], 1, nprobe=8, exclude=first)
+        assert got.ids[4, 0] == 1004 and calls.count(200) == 3
+
+
 class TestSegmentMerge:
     def test_merge_combines_rows(self):
         data = sift_like(100, dim=16, seed=1)

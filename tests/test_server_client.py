@@ -156,6 +156,91 @@ class TestRest:
         assert resp.ok and resp.body["segments_indexed"] == 1
 
 
+class TestSearchRequestValidation:
+    """A search that cannot be served is a 400 naming the argument —
+    decided in ``Collection.search``, so REST and SDK agree."""
+
+    @pytest.fixture()
+    def router(self):
+        router = RestRouter()
+        router.handle("POST", "/collections", {
+            "name": "tiny", "vector_fields": [{"name": "v", "dim": 4}],
+        })
+        rows = np.arange(40, dtype=np.float32).reshape(10, 4)
+        router.handle("POST", "/collections/tiny/entities", {"data": {"v": rows.tolist()}})
+        router.handle("POST", "/flush", {"collection": "tiny"})
+        return router
+
+    def search(self, router, **body):
+        request = {"field": "v", "queries": [[0.0, 1.0, 2.0, 3.0]], "k": 3}
+        request.update(body)
+        return router.handle("POST", "/collections/tiny/search", request)
+
+    @pytest.mark.parametrize("body,named", [
+        ({"k": 10 ** 9}, "k"),          # was an uncaught MemoryError (7.45 GiB)
+        ({"k": -1}, "k"),               # was "negative dimensions are not allowed"
+        ({"k": 0}, "k"),
+        ({"k": 16385}, "k"),
+        ({"k": 2.5}, "k"),
+        ({"k": "many"}, "k"),
+        ({"k": None}, "k"),
+        ({"k": 1e999}, "k"),            # json.loads gives float('inf')
+        ({"queries": [[0.0, float("nan"), 2.0, 3.0]]}, "queries"),  # was 200, no hits
+        ({"queries": [[0.0, float("inf"), 2.0, 3.0]]}, "queries"),
+        ({"queries": [[0.0, 1.0, 2.0]]}, "queries"),                # 3-d against 4-d: ditto
+        ({"queries": [[[0.0, 1.0, 2.0, 3.0]]]}, "queries"),
+        ({"queries": []}, "queries"),
+        ({"queries": [[]]}, "queries"),
+        ({"params": {"snapshot": 5}}, "snapshot"),
+    ])
+    def test_refused_with_the_argument_named(self, router, body, named):
+        resp = self.search(router, **body)
+        assert resp.status == 400
+        assert named in resp.body["error"]
+
+    @pytest.mark.parametrize("body", [
+        {"queries": [[10 ** 400, 0, 0, 0]]},   # no float32 holds it
+        {"queries": "abcd"},
+        {"queries": {"0": [0, 1, 2, 3]}},
+        {"queries": [[0, 1, 2, 3], [0, 1]]},
+        {"field": "nope"},
+        {"field": ["v"]},
+        {"params": [1, 2]},
+        {"filter": {"attribute": "ghost", "low": 0, "high": 1}},
+        {"filter": 7},
+    ])
+    def test_other_bad_bodies_are_4xx_not_exceptions(self, router, body):
+        assert self.search(router, **body).status == 400
+
+    @pytest.mark.parametrize("params", [
+        {"nprobe": "x"}, {"nprobe": 1e999}, {"nprobe": 0}, {"nprobe": None},
+        {"bogus": 1},
+    ])
+    def test_bad_index_params_are_4xx_once_an_index_reads_them(self, router, params):
+        assert router.handle("POST", "/collections/tiny/index", {
+            "field": "v", "index_type": "IVF_FLAT", "params": {"nlist": 2}}).ok
+        assert self.search(router, params=params).status == 400
+        assert self.search(router, params={"nprobe": 2}).ok
+
+    def test_largest_k_still_answers(self, router):
+        resp = self.search(router, k=16384)
+        assert resp.ok and len(resp.body["hits"][0]) == 10
+        assert resp.body["hits"][0][0] == {"id": 0, "score": 0.0}
+
+    def test_sdk_raises_the_same_refusals(self):
+        from repro.core import MilvusError
+
+        client = connect()
+        client.create_collection("c", {"v": (4, "l2")})
+        client.insert("c", {"v": np.eye(4, dtype=np.float32)})
+        client.flush("c")
+        for queries, k in [(np.zeros(4), 10 ** 9), (np.zeros(4), -1),
+                           (np.full(4, np.nan), 1), (np.zeros(3), 1)]:
+            with pytest.raises(MilvusError):
+                client.search("c", "v", queries, k)
+        assert client.search("c", "v", np.zeros(4), np.int64(2))[0][0][0] in range(4)
+
+
 class TestFilteredSearchRecall:
     ROWS, DIM, K = 4000, 32, 10
 
