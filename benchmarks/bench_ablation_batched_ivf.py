@@ -17,7 +17,13 @@ the sweep that rule was fitted to and is judged by (a report, not a
 gate; recorded in EXPERIMENTS.md, "IVF probe regimes"): both regimes
 called directly over ``nq`` x ``nprobe`` x {2k, 8k, 30k rows} x
 {unfiltered, 10 % ``row_filter``}, the time of query-major over
-bucket-major, and whether the rule took the faster side.
+bucket-major, and whether the rule took the faster side.  It is
+followed by the same question one level up (``collects_scans``, recorded
+in EXPERIMENTS.md, "Many segments, one collector"): over snapshots
+shaped like ``mixed_rw``'s — segments x tombstones x (``nq``,
+``nprobe``) — every scan scoring into one ``TopKCollector`` against a
+top-k per scan and one merge, each composed directly from
+``Segment.search``.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ from repro.bench import print_series
 from repro.datasets import random_queries, sift_like
 from repro.index import IVFFlatIndex
 from repro.index.ivf_common import probes_query_major
+from repro.storage import Segment
+from repro.storage.lsm import collects_scans
+from repro.utils import TopKCollector, merge_topk_batch
 
 N = 30000
 DIM = 48
@@ -186,6 +195,123 @@ def format_regime_sweep(rows, nlist=SWEEP_NLIST) -> str:
     return "\n".join(lines)
 
 
+# -- the collector sweep -----------------------------------------------------------
+
+#: the segments a ``mixed_rw`` snapshot is made of at different moments
+#: of its window, as (rows, indexed) — ids are consecutive
+COLLECT_LAYOUTS = (
+    ((8000, True), (2000, False), (2000, False), (2000, False), (492, False), (492, False)),
+    ((8000, True), (7818, True)),
+    ((8000, True), (7818, True), (492, False), (492, False)),
+    ((8000, True), (7818, True), (1951, False), (492, False)),
+    ((8000, True), (7818, True), (1951, False), (1950, False)),
+)
+#: tombstones each layout carries in the benchmark's traced run
+COLLECT_DEAD = (160, 169, 328, 539, 769)
+COLLECT_SHAPES = ((1, 8), (2, 8), (4, 16), (8, 16), (16, 16), (32, 32), (64, 32))
+
+
+def mixture(n, seed, centres=512):
+    """The served-path benchmark's data: a 64-d Gaussian mixture."""
+    rng = np.random.default_rng(seed)
+    means = rng.standard_normal((centres, SWEEP_DIM))
+    return (means[rng.integers(0, centres, n)]
+            + rng.standard_normal((n, SWEEP_DIM))).astype(np.float32)
+
+
+def build_scans(layout, built):
+    """The layout's segments; ``built`` keeps them across layouts (an
+    index build is the slow part)."""
+    scans, lo = [], 0
+    for rows, indexed in layout:
+        key = (lo, rows, indexed)
+        if key not in built:
+            segment = Segment(
+                len(built), np.arange(lo, lo + rows), {"emb": mixture(rows, seed=lo)},
+                {}, {"emb": (SWEEP_DIM, "l2")})
+            if indexed:
+                segment.build_index("emb", "IVF_FLAT", nlist=SWEEP_NLIST)
+            built[key] = segment
+        scans.append(built[key])
+        lo += rows
+    return scans, lo
+
+
+def time_combiners(scans, queries, nprobe, exclude, budget=0.3):
+    """Best seconds of one request ``(top-k per scan + merge, one
+    collector)``, the two taking turns like :func:`time_regimes`."""
+
+    def merge():
+        partials = [
+            scan.search("emb", queries, K, exclude=exclude, nprobe=nprobe)
+            for scan in scans]
+        return merge_topk_batch(
+            [(p.ids, p.scores) for p in partials], K, nq=len(queries),
+            dtype=np.float64)
+
+    def collect():
+        collector = TopKCollector(len(queries), K)
+        for scan in scans:
+            scan.search("emb", queries, K, exclude=exclude, nprobe=nprobe,
+                        collector=collector)
+        return collector.close()
+
+    assert (merge()[0] == collect()[0]).all()
+    best = [float("inf"), float("inf")]
+    spent = 0.0
+    while spent < budget:
+        for which, combine in enumerate((merge, collect)):
+            t0 = time.perf_counter()
+            combine()
+            took = time.perf_counter() - t0
+            best[which] = min(best[which], took)
+            spent += took
+    return best
+
+
+def collector_sweep():
+    """Rows ``(layout, tombstones, nq, nprobe, merge s, collector s)``:
+    every layout at the benchmark's 1 x 8, the last over every shape."""
+    built, rows = {}, []
+    queries = mixture(max(nq for nq, __ in COLLECT_SHAPES), seed=1)
+    for layout, dead in zip(COLLECT_LAYOUTS, COLLECT_DEAD):
+        scans, total = build_scans(layout, built)
+        shapes = COLLECT_SHAPES if layout is COLLECT_LAYOUTS[-1] else COLLECT_SHAPES[:1]
+        for n_dead in (0, dead):
+            exclude = np.sort(np.random.default_rng(3).choice(
+                total, n_dead, replace=False)).astype(np.int64)
+            for nq, nprobe in shapes:
+                times = time_combiners(scans, queries[:nq], nprobe, exclude)
+                rows.append((layout, n_dead, nq, nprobe, *times))
+    return rows
+
+
+def format_collector_sweep(rows) -> str:
+    """The sweep as a markdown table: collector time / merge time; ``*``
+    where the rule collects, ``!`` where the side it takes is more than
+    10 % slower than the other."""
+    lines = [
+        f"IVF_FLAT nlist {SWEEP_NLIST} and unindexed segments, dim "
+        f"{SWEEP_DIM}, k {K}, l2: one request over the snapshot, every scan "
+        "into one collector against a top-k per scan and one merge; `*` = "
+        "the rule collects, `!` = the rule's side is > 10 % slower.",
+        "",
+        "| segments (rows, i = indexed) | tombstones | nq x nprobe | merge us "
+        "| collector us | collector / merge |",
+        "|---|---|---|---|---|---|",
+    ]
+    for layout, n_dead, nq, nprobe, merge_s, collect_s in rows:
+        ratio = collect_s / merge_s
+        chosen = collects_scans(nq, nprobe, SWEEP_NLIST, len(layout))
+        wrong = ratio > 1.1 if chosen else ratio < 1 / 1.1
+        name = " + ".join(f"{n}{'i' if indexed else ''}" for n, indexed in layout)
+        lines.append(
+            f"| {name} | {n_dead} | {nq} x {nprobe} | {merge_s * 1e6:.0f} | "
+            f"{collect_s * 1e6:.0f} | {ratio:.2f}{'*' if chosen else ''}"
+            f"{'!' if wrong else ''} |")
+    return "\n".join(lines)
+
+
 def main(argv=()):
     parser = argparse.ArgumentParser(
         description="Batched-IVF ablation; --regimes prints the probe-regime sweep.")
@@ -196,7 +322,8 @@ def main(argv=()):
     parser.add_argument("--out", help="also write the sweep table to this file")
     args = parser.parse_args(argv)
     if args.regimes:
-        table = format_regime_sweep(regime_sweep(args.nlist), args.nlist)
+        table = (format_regime_sweep(regime_sweep(args.nlist), args.nlist)
+                 + "\n\n" + format_collector_sweep(collector_sweep()))
         print(table)
         if args.out:
             with open(args.out, "w") as fh:

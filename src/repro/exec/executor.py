@@ -4,7 +4,10 @@ The one policy object between a query and the :class:`WorkerPool`.
 Both read paths use it the same way:
 
 * LSM search fans one task per visible segment
-  (:meth:`~repro.storage.lsm.LSMManager.search`);
+  (:meth:`~repro.storage.lsm.LSMManager.search`) when the request's
+  queries share buckets; a request whose queries do not scores every
+  segment into one collector on the calling thread and never comes
+  here, nor does a snapshot with a single scan;
 * the cluster fans one task per live reader
   (:meth:`~repro.distributed.cluster.MilvusCluster.search`).
 

@@ -9,6 +9,8 @@ hangs off each owner of immutable vector data — one per
 :class:`~repro.index.ivf_flat.IVFFlatIndex` — and memoizes:
 
 * ``squared_norms`` — the ``|x|^2`` row vector (L2 scans);
+* ``inverse_norms`` — the ``1/|x|`` row vector (cosine scans that
+  score the stored rows as they are);
 * ``unit_rows`` — unit-normalized rows (cosine scans).
 
 Keys are caller-chosen (field name for segments, ``(bucket, size)``
@@ -35,6 +37,7 @@ from typing import Callable, Dict, Hashable, Tuple
 
 import numpy as np
 
+from repro.index.kernels import row_term
 from repro.metrics.dense import squared_norms as _squared_norms
 from repro.metrics.dense import unit_rows as _unit_rows
 from repro.obs import get_obs
@@ -81,6 +84,12 @@ class NormCache:
     def squared_norms(self, key: Hashable, data: np.ndarray) -> np.ndarray:
         """Cached ``|x|^2`` per row of ``data`` (L2 expansion term)."""
         return self._get("sqnorm", key, lambda: _squared_norms(data))
+
+    def inverse_norms(self, key: Hashable, data: np.ndarray) -> np.ndarray:
+        """Cached ``1/|x|`` per row of ``data``, 0 for a zero row (the
+        cosine row term of :class:`~repro.index.kernels.GemmScan`)."""
+        return self._get(
+            "invnorm", key, lambda: row_term("cosine", _squared_norms(data)))
 
     def unit_rows(self, key: Hashable, data: np.ndarray) -> np.ndarray:
         """Cached unit-normalized rows of ``data`` (cosine kernel)."""

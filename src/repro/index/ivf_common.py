@@ -23,6 +23,14 @@ buckets, query-major — each query straight down its own contiguous
 lists, the Faiss library paper's scan — when they do not.  The
 definition both must reproduce — results and work counters — is the
 plain-numpy oracle in ``tests/test_ivf_scan.py``.
+
+Two search parameters belong to the storage layer above.  ``hidden``
+names rows the probe must score but never return (a segment's
+tombstoned rows): they are masked in the score block at their own CSR
+positions, so ``k`` is not widened for them.  ``collector`` (a
+:class:`~repro.utils.topk.TopKCollector`) replaces the result: the
+probe hands it every probed row's real score, query-major, takes no
+threshold of its own, and returns ``None``.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from repro.index.kmeans import KMeans, assign_to_centroids
 from repro.metrics.base import MetricKind
 from repro.metrics.dense import l2_squared_pairwise
 from repro.obs.profile import current_node
-from repro.utils import ensure_positive
+from repro.utils import ensure_positive, sorted_membership
 from repro.utils.sanitizer import maybe_sanitize
 
 DEFAULT_NLIST = 128
@@ -55,12 +63,14 @@ class ListsSnapshot:
     ``ids``, ``codes`` and every array in ``terms`` (the fine
     quantizer's query-independent per-row terms).  Within a bucket rows
     keep insertion order.  Nothing here is written after construction
-    except ``terms`` and the id lookup table: data derived from the
-    arrays above, filled in on first use (a concurrent first use
-    computes them twice; both results are identical).
+    except ``terms``, the id lookup table and the last hidden-row
+    translation: data derived from the arrays above (the last also from
+    an array its owner never writes into), filled in on first use and
+    published by one assignment (a concurrent first use computes them
+    twice; both results are identical).
     """
 
-    __slots__ = ("offsets", "ids", "codes", "terms", "_by_id")
+    __slots__ = ("offsets", "ids", "codes", "terms", "_by_id", "_hidden")
 
     def __init__(self, offsets, ids, codes):
         self.offsets = offsets
@@ -68,6 +78,9 @@ class ListsSnapshot:
         self.codes = codes
         self.terms: Optional[RowTerms] = None
         self._by_id: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: (hidden id array, its CSR positions, their bucket bounds)
+        self._hidden: Tuple[Optional[np.ndarray], np.ndarray, np.ndarray] = (
+            None, offsets[:0], offsets[:0])
 
     def positions_of(self, row_ids: np.ndarray) -> np.ndarray:
         """Ascending CSR positions of the rows whose id is in ``row_ids``.
@@ -88,9 +101,26 @@ class ListsSnapshot:
             admissible[perm[loc[sorted_ids[loc] == row_ids]]] = True
         return np.flatnonzero(admissible)
 
+    def hidden_rows(self, hidden: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(positions, bounds)`` of the rows whose id is in ``hidden``:
+        ascending CSR positions, and per bucket ``b`` the slice
+        ``bounds[b]:bounds[b + 1]`` of them that lies in the bucket.
+
+        Translated once per ``hidden`` array and remembered under the
+        array's identity — a segment passes the same array for as long
+        as its tombstones stay the same, and never writes into it.
+        """
+        known_for, positions, bounds = self._hidden
+        if known_for is not hidden:
+            positions = self.positions_of(hidden)
+            bounds = positions.searchsorted(self.offsets)
+            self._hidden = (hidden, positions, bounds)
+        return positions, bounds
+
     def derived_bytes(self) -> int:
         """Bytes held beyond ``ids`` and ``codes``."""
-        arrays = [self.offsets, *(self.terms or ()), *(self._by_id or ())]
+        arrays = [self.offsets, *(self.terms or ()), *(self._by_id or ()),
+                  *self._hidden[1:]]
         return sum(a.nbytes for a in arrays if a is not None)
 
 
@@ -185,7 +215,7 @@ class IVFIndexBase(VectorIndex):
     """Coarse-quantized inverted-file index base class."""
 
     requires_training = True
-    SEARCH_PARAMS = frozenset({"nprobe", "row_filter"})
+    SEARCH_PARAMS = frozenset({"nprobe", "row_filter", "hidden", "collector"})
 
     def __init__(
         self,
@@ -267,14 +297,21 @@ class IVFIndexBase(VectorIndex):
         k: int,
         nprobe: int = DEFAULT_NPROBE,
         row_filter: Optional[np.ndarray] = None,
+        hidden: Optional[np.ndarray] = None,
+        collector=None,
         **params,
-    ) -> SearchResult:
+    ) -> Optional[SearchResult]:
         """Two-step IVF search.
 
         Args:
             nprobe: number of buckets to probe (accuracy/speed knob).
             row_filter: optional sorted int64 array of admissible row
                 ids (used by attribute-filtering strategy B).
+            hidden: optional sorted int64 array of row ids to score but
+                never return (the owning segment's tombstoned rows).
+            collector: hand every probed row's score to this
+                :class:`~repro.utils.topk.TopKCollector` and return
+                ``None`` instead of a result.
         """
         if params:
             raise TypeError(f"unknown search params: {sorted(params)}")
@@ -282,6 +319,7 @@ class IVFIndexBase(VectorIndex):
         return self._search_pruned(
             queries, k, bucket_ids, row_filter,
             probes_query_major(*bucket_ids.shape, self.nlist),
+            hidden, collector,
         )
 
     def _search_pruned(
@@ -291,7 +329,9 @@ class IVFIndexBase(VectorIndex):
         bucket_ids: np.ndarray,
         row_filter: Optional[np.ndarray],
         query_major: bool,
-    ) -> SearchResult:
+        hidden: Optional[np.ndarray] = None,
+        collector=None,
+    ) -> Optional[SearchResult]:
         """Threshold-pruned probe over the CSR snapshot, in the regime
         ``query_major`` names (:func:`probes_query_major` chooses it).
 
@@ -302,28 +342,52 @@ class IVFIndexBase(VectorIndex):
         neither on a query's batch-mates nor on the regime — is then
         exact over the probed rows.  Work counters follow from the
         bucket sizes alone.
+
+        ``hidden`` rows are scored where they lie and keyed ``+inf``
+        (under a ``row_filter`` they are simply not admissible); either
+        way they count as pruned.  With a ``collector`` the threshold
+        and the sort are the collector's: it is handed each query's
+        probed scores, which is query-major work whatever the shape.
         """
         snap = self._snapshot()
         # bounds[b]:bounds[b + 1] delimits bucket b's admissible rows:
         # CSR positions when unfiltered, indices into `positions` (the
         # filter translated once into ascending CSR positions) otherwise.
         positions, bounds = None, snap.offsets
+        masked = None
+        if hidden is not None and len(hidden):
+            masked = snap.hidden_rows(hidden)
         if row_filter is not None:
             positions = snap.positions_of(np.asarray(row_filter, dtype=np.int64))
+            if masked is not None:
+                positions = positions[~sorted_membership(positions, masked[0])]
+                masked = None
             bounds = np.searchsorted(positions, snap.offsets)
         node = current_node()
         if node is not None:
             sizes = np.diff(snap.offsets)[bucket_ids]
             scanned = int(sizes.sum())
             kept = int(np.diff(bounds)[bucket_ids].sum())
+            pruned = scanned - kept
+            if masked is not None:
+                pruned += int(np.diff(masked[1])[bucket_ids].sum())
             _count_probe(
                 node, int(np.count_nonzero(sizes)), scanned,
-                scanned - kept, kept, kept * self.row_code_bytes(),
+                pruned, kept, kept * self.row_code_bytes(),
             )
 
         scan = self._begin_scan(queries, snap)
+        if collector is not None:
+            scored, __, __ = _score_query_major(
+                scan, bucket_ids, positions, bounds, masked)
+            for qi, __, keyed, rows in scored:
+                collector.add(qi, scan.final(qi, keyed), _taken(snap.ids, rows))
+            return None
         probe = _probe_query_major if query_major else _probe_bucket_major
-        q, where, key = probe(scan, k, bucket_ids, positions, bounds)
+        q, where, key = probe(scan, k, bucket_ids, positions, bounds, masked)
+        if masked is not None:
+            live = key < np.inf
+            q, where, key = q[live], where[live], key[live]
         pos = where if positions is None else positions[where]
 
         result = SearchResult.empty(len(queries), k, self.metric)
@@ -451,7 +515,7 @@ def probes_query_major(nq: int, nprobe: int, nlist: int) -> bool:
     return nq * nprobe <= QUERY_MAJOR_PAIRS_PER_LIST * nlist
 
 
-def _probe_bucket_major(scan, k, bucket_ids, positions, bounds):
+def _probe_bucket_major(scan, k, bucket_ids, positions, bounds, masked=None):
     """Survivors of a probe that reuses each bucket across queries, as
     (query, index into ``bounds`` space, keyed score) arrays.
 
@@ -462,10 +526,15 @@ def _probe_bucket_major(scan, k, bucket_ids, positions, bounds):
     threshold — a compare and a ``nonzero`` per bucket where a
     per-bucket top-k would be an ``argpartition`` over every score.
     In both passes the pairs are grouped by bucket with one argsort and
-    each distinct bucket is scored once for all its queries.
+    each distinct bucket is scored once for all its queries.  The rows
+    ``masked`` names (``ListsSnapshot.hidden_rows``) are keyed ``+inf``
+    before either pass looks at the block, so they neither set a
+    threshold nor pass one that is finite.
     """
     nq, nprobe = bucket_ids.shape
     threshold = np.full(nq, np.inf, dtype=np.float32)
+    # (nothing hidden: any bounds do, the spans below never look inside)
+    hidden, hidden_bounds = masked if masked is not None else (None, bounds)
 
     def probe(pair_q: np.ndarray, pair_b: np.ndarray, first: bool):
         order = np.argsort(pair_b, kind="stable")
@@ -474,14 +543,18 @@ def _probe_bucket_major(scan, k, bucket_ids, positions, bounds):
         starts = [0, *cuts]
         buckets = pair_b[starts]
         spans = zip(starts, [*cuts, len(pair_b)],
-                    bounds[buckets].tolist(), bounds[buckets + 1].tolist())
+                    bounds[buckets].tolist(), bounds[buckets + 1].tolist(),
+                    hidden_bounds[buckets].tolist(),
+                    hidden_bounds[buckets + 1].tolist())
         hits, keys, groups = [], [], []
-        for start, stop, lo, hi in spans:
+        for start, stop, lo, hi, dead_lo, dead_hi in spans:
             if lo == hi:
                 continue
             qidx = pair_q[start:stop]
             rows = slice(lo, hi) if positions is None else positions[lo:hi]
             keyed = scan.keyed(rows, qidx)
+            if hidden is not None and dead_lo < dead_hi:
+                keyed[hidden[dead_lo:dead_hi] - lo] = np.inf
             if first and hi - lo >= k:
                 threshold[qidx] = np.partition(keyed, k - 1, axis=0)[k - 1]
             # flat indices into the (rows, queries) block: a 2-D
@@ -508,22 +581,25 @@ def _probe_bucket_major(scan, k, bucket_ids, positions, bounds):
     return tuple(np.concatenate(part) for part in zip(*found))
 
 
-def _probe_query_major(scan, k, bucket_ids, positions, bounds):
-    """Survivors, as :func:`_probe_bucket_major` returns them, of a
-    probe that takes each query straight down its own lists.
+def _score_query_major(scan, bucket_ids, positions, bounds, masked=None):
+    """Each query straight down its own lists: an iterator over
+    ``(query, number of its first probed row, keyed scores of its
+    probed rows, the rows)`` for every query that probes any row, and
+    the arrays that turn row numbers back into ``bounds`` space.
 
-    A query's probed ranges are scored into one array — range by range
-    on CSR views where the scan state can (``keyed_ranges``), in one
-    gather otherwise — and one ``partition`` of it gives the query's
-    exact k-th best score as the threshold.  Nothing is sorted,
-    compared or gathered per bucket.
+    Probed rows are numbered query by query, each query's ranges in
+    probe order.  A query's ranges are scored into one array — range by
+    range on CSR views where the scan state can (``keyed_ranges``; the
+    rows are then a list of ``(lo, hi)`` CSR ranges), in one gather
+    otherwise (the rows are an array of CSR positions).  Rows that
+    ``masked`` names (``ListsSnapshot.hidden_rows``; unfiltered probes
+    only) are keyed ``+inf`` where they lie.
     """
     lo, hi = bounds[bucket_ids], bounds[bucket_ids + 1]
     sizes = (hi - lo).ravel()
     ends = sizes.cumsum()
-    # Probed rows are numbered query by query, each query's ranges in
-    # probe order; base[p] turns the numbers of pair p's rows into
-    # their indices in bounds space.
+    # base[p] turns the numbers of pair p's rows into their indices in
+    # bounds space.
     base = lo.ravel() - (ends - sizes)
     by_range = getattr(scan, "keyed_ranges", None) if positions is None else None
     if by_range is None:
@@ -531,17 +607,59 @@ def _probe_query_major(scan, k, bucket_ids, positions, bounds):
         rows += np.arange(len(rows))
         if positions is not None:
             rows = positions[rows]
+    dead = None
+    if masked is not None:
+        # the numbers of the hidden rows among the probed ones, ascending
+        hidden, hidden_bounds = masked
+        first = hidden_bounds[bucket_ids].ravel()
+        counts = hidden_bounds[bucket_ids + 1].ravel() - first
+        if counts.any():
+            pairs = np.flatnonzero(counts)
+            counts = counts[pairs]
+            within = np.arange(counts.sum()) - (counts.cumsum() - counts).repeat(counts)
+            dead = hidden[first[pairs].repeat(counts) + within] - base[pairs].repeat(counts)
+
+    def scored():
+        stop = 0
+        for qi, (los, his) in enumerate(zip(lo.tolist(), hi.tolist())):
+            start, stop = stop, stop + sum(his) - sum(los)
+            if start == stop:
+                continue
+            if by_range is not None:
+                taken = [(a, b) for a, b in zip(los, his) if a < b]
+                keyed = by_range(taken, qi)
+            else:
+                taken = rows[start:stop]
+                keyed = scan.keyed(taken, slice(qi, qi + 1))[:, 0]
+            if dead is not None:
+                a, b = dead.searchsorted((start, stop))
+                keyed[dead[a:b] - start] = np.inf
+            yield qi, start, keyed, taken
+
+    return scored(), ends, base
+
+
+def _taken(values: np.ndarray, rows) -> List[np.ndarray]:
+    """``values`` at the rows :func:`_score_query_major` reports, as
+    arrays that end to end line up with the scores."""
+    if isinstance(rows, list):
+        return [values[a:b] for a, b in rows]
+    return [values[rows]]
+
+
+def _probe_query_major(scan, k, bucket_ids, positions, bounds, masked=None):
+    """Survivors, as :func:`_probe_bucket_major` returns them, of a
+    probe that takes each query straight down its own lists.
+
+    One ``partition`` of a query's probed scores
+    (:func:`_score_query_major`) gives its exact k-th best score as the
+    threshold.  Nothing is sorted, compared or gathered per bucket.
+    """
+    scored, ends, base = _score_query_major(
+        scan, bucket_ids, positions, bounds, masked)
     hits, keys = [], []
-    stop = 0
-    for qi, (los, his) in enumerate(zip(lo.tolist(), hi.tolist())):
-        start, stop = stop, stop + sum(his) - sum(los)
-        if start == stop:
-            continue
-        if by_range is not None:
-            keyed = by_range([(a, b) for a, b in zip(los, his) if a < b], qi)
-        else:
-            keyed = scan.keyed(rows[start:stop], slice(qi, qi + 1))[:, 0]
-        kth = min(k, stop - start) - 1
+    for __, start, keyed, __ in scored:
+        kth = min(k, len(keyed)) - 1
         hit = (keyed <= np.partition(keyed, kth)[kth]).nonzero()[0]
         keys.append(keyed[hit])
         hit += start

@@ -60,6 +60,7 @@ import numpy as np
 
 from repro.exec import QueryExecutor
 from repro.index.base import SearchResult
+from repro.index.ivf_common import DEFAULT_NLIST, DEFAULT_NPROBE, probes_query_major
 from repro.index.registry import resolved_index_params
 from repro.metrics import get_metric
 from repro.obs import get_obs
@@ -73,7 +74,7 @@ from repro.storage.memtable import MemTable
 from repro.storage.merge import TieredMergePolicy
 from repro.storage.segment import Segment, VectorSpecs
 from repro.storage.wal import WriteAheadLog
-from repro.utils import merge_topk_batch
+from repro.utils import TopKCollector, merge_topk_batch
 from repro.utils.sanitizer import assert_guarded, maybe_sanitize
 
 
@@ -104,6 +105,24 @@ class LSMConfig:
     #: rewrite a resident segment once this fraction of its rows is
     #: tombstoned (0 disables the purge pass).
     tombstone_purge_ratio: float = 0.25
+
+
+def collects_scans(nq: int, nprobe: int, nlist: int, n_scans: int) -> bool:
+    """Whether a request over ``n_scans`` visible scans scores them all
+    into one :class:`~repro.utils.topk.TopKCollector` instead of
+    fanning out for one finished top-k each and merging those.
+
+    It is the question :func:`~repro.index.ivf_common.probes_query_major`
+    answers inside one index, asked of the snapshot: while queries share
+    no buckets each goes down its own lists anyway, and then the lists
+    of every segment may as well be one query's lists — one threshold,
+    one sort.  Once queries share buckets, each index's bucket-major
+    block work (and the pool, which overlaps it) is worth a merge.  The
+    sweep in EXPERIMENTS.md ("Many segments, one collector") found the
+    crossover where that rule already puts it, so there is no second
+    constant.  One scan has nothing to share a collector with.
+    """
+    return n_scans > 1 and probes_query_major(nq, min(nprobe, nlist), nlist)
 
 
 @dataclass
@@ -216,6 +235,14 @@ class LSMManager:
         self._frozen_wal_high = -1
         #: fid -> lazily built read view (a Segment sharing no files)
         self._frozen_views: Dict[int, Segment] = {}
+        #: (committed tombstone array, frozen ids, what a snapshot made
+        #: of those two sees as deleted); see :meth:`visible_tombstones`
+        self._visible_deletes: Tuple[Optional[np.ndarray], tuple, Optional[np.ndarray]] = (
+            None, (), None)
+        #: the ``nlist`` this collection's indexes are built with, as
+        #: far as the configuration says: what :func:`collects_scans`
+        #: is asked about before any segment is pinned
+        self._nlist = int(self.config.index_params.get("nlist", DEFAULT_NLIST))
         #: fid -> resulting segment id, recorded only for awaited fids
         self._flush_results: Dict[int, Optional[int]] = {}
         self._awaited: set = set()
@@ -635,18 +662,32 @@ class LSMManager:
         Deletes batched into a frozen memtable mask reads from the
         moment of the freeze, atomically with the frozen rows — the
         manifest absorbs them only at the flush commit.
+
+        Snapshots of equal content get the *same* array: segments and
+        indexes remember their dead rows under the array's identity, so
+        a fresh merge per request would make every segment redo its
+        membership pass.  Neither input ever changes — the manifest
+        replaces its tombstone array, a frozen entry's deletes are fixed
+        at the freeze — so the last merge is remembered under (that
+        array's identity, the frozen ids) and published by one
+        assignment; readers that race on a new pair store equal arrays.
         """
         if not snapshot.frozen_ids:
             return snapshot.tombstones
+        known_for, known_fids, merged = self._visible_deletes
+        if known_for is snapshot.tombstones and known_fids == snapshot.frozen_ids:
+            return merged
         parts = [snapshot.tombstones]
         with self._frozen_lock:
             for fid in snapshot.frozen_ids:
                 entry = self._frozen.get(fid)
                 if entry is not None and entry.tombstones is not None:
                     parts.append(entry.tombstones)
-        if len(parts) == 1:
-            return snapshot.tombstones
-        return np.unique(np.concatenate(parts))
+        merged = snapshot.tombstones
+        if len(parts) > 1:
+            merged = np.unique(np.concatenate(parts))
+        self._visible_deletes = (snapshot.tombstones, snapshot.frozen_ids, merged)
+        return merged
 
     def unflushed_preview(self):
         """Raw rows of the *active* memtable (read-your-writes support).
@@ -996,11 +1037,23 @@ class LSMManager:
         Scans sealed segments *and* frozen memtable views — rows are
         searchable from the moment of the freeze, before the
         background flush lands.  Acquires (and releases) a fresh
-        snapshot when none is given.  With ``parallel`` on (or
-        ``REPRO_PARALLEL=1``), scans fan out over the shared worker
-        pool; results are returned in scan order either way, so
-        parallel output is bit-identical to serial (see ``repro.exec``).
+        snapshot when none is given.
+
+        Several scans are combined in one of two ways, picked from the
+        request's shape by :func:`collects_scans`.  While queries share
+        no buckets, every scan scores into one per-request
+        :class:`~repro.utils.topk.TopKCollector` on the calling thread:
+        one threshold and one sort per query over everything probed,
+        tombstoned rows masked where they lie.  Otherwise each scan
+        returns its own top-k and those are merged; with ``parallel``
+        on (or ``REPRO_PARALLEL=1``) these scans fan out over the
+        shared worker pool, results are returned in scan order either
+        way, so parallel output is bit-identical to serial (see
+        ``repro.exec``).  ``parallel`` never picks between the two.
         """
+        for name in ("hidden", "collector"):
+            if name in search_params:  # what this layer tells an index
+                raise TypeError(f"unknown search param {name!r}")
         obs = get_obs()
         metric = get_metric(self.vector_specs[field][1])
         owned = snapshot is None
@@ -1011,6 +1064,11 @@ class LSMManager:
                 queries = queries[np.newaxis, :]
             exclude = self.visible_tombstones(snap)
             n_scans = len(snap.segment_ids) + len(snap.frozen_ids)
+            collector = None
+            nprobe = search_params.get("nprobe", DEFAULT_NPROBE)
+            if (isinstance(nprobe, int) and nprobe > 0
+                    and collects_scans(len(queries), nprobe, self._nlist, n_scans)):
+                collector = TopKCollector(len(queries), k, metric.higher_is_better)
             with obs.tracer.span(
                 "lsm.search", field=field, nq=len(queries), k=k,
                 segments=n_scans,
@@ -1032,6 +1090,7 @@ class LSMManager:
                                 exclude=exclude,
                                 row_filter=row_filter,
                                 brute_force=brute_force,
+                                collector=collector,
                                 **search_params,
                             )
                     finally:
@@ -1049,6 +1108,7 @@ class LSMManager:
                             exclude=exclude,
                             row_filter=row_filter,
                             brute_force=brute_force,
+                            collector=collector,
                             **search_params,
                         )
 
@@ -1074,6 +1134,10 @@ class LSMManager:
                     # what the merge below would hand back.
                     only = tasks[0]()
                     ids, scores = only.ids, only.scores.astype(np.float64, copy=False)
+                elif collector is not None:
+                    for task in tasks:
+                        task()
+                    ids, scores = collector.close()
                 else:
                     executor = QueryExecutor(parallel=parallel, pool_size=pool_size)
                     partials = executor.map_ordered(tasks, label="segment.search")

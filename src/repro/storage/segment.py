@@ -29,6 +29,7 @@ import numpy as np
 from repro.exec.normcache import NormCache
 from repro.index import create_index
 from repro.index.base import SearchResult, VectorIndex
+from repro.index.kernels import GEMM_METRICS, GemmScan
 from repro.metrics import get_metric
 from repro.metrics.dense import cosine_pairwise, l2_squared_pairwise
 from repro.obs import get_obs
@@ -36,7 +37,7 @@ from repro.obs.profile import current_node
 from repro.storage.attributes import AttributeColumn, merge_columns
 from repro.storage.bloom import BloomFilter
 from repro.storage.categorical import CategoricalColumn
-from repro.utils import sorted_membership, topk_from_scores
+from repro.utils import TopKCollector, sorted_membership, topk_from_scores
 
 #: vector fields spec: name -> (dim, metric_name)
 VectorSpecs = Dict[str, Tuple[int, str]]
@@ -79,9 +80,10 @@ class Segment:
         # Segments are immutable after sealing, so the cache is never
         # invalidated — it lives and dies with the segment object.
         self.kernel_cache = NormCache()
-        #: (tombstone array, positions of this segment's rows in it),
-        #: replaced whole by :meth:`_dead_positions`
-        self._dead: Tuple[Optional[np.ndarray], np.ndarray] = (None, _NO_ROWS)
+        #: (tombstone array, positions of this segment's rows in it,
+        #: their row ids), replaced whole by :meth:`_dead_rows`
+        self._dead: Tuple[Optional[np.ndarray], np.ndarray, np.ndarray] = (
+            None, _NO_ROWS, _NO_ROWS)
 
     # -- basic properties ---------------------------------------------------
 
@@ -173,8 +175,9 @@ class Segment:
         exclude: Optional[np.ndarray] = None,
         row_filter: Optional[np.ndarray] = None,
         brute_force: bool = False,
+        collector: Optional[TopKCollector] = None,
         **search_params,
-    ) -> SearchResult:
+    ) -> Optional[SearchResult]:
         """Top-k within this segment.
 
         Args:
@@ -183,6 +186,11 @@ class Segment:
                 filtering); ``None`` admits everything.
             brute_force: bypass the index and scan exactly — strategy A
                 of Sec. 4.1, chosen by the planner at high selectivity.
+            collector: the request's collector, when the scans of a
+                snapshot share one.  The segment then contributes what
+                it scored — every probed row of an IVF index, every row
+                of an unindexed matrix, the finished top-k of anything
+                else — and returns ``None``.
             search_params: forwarded to the index (``nprobe``, ``ef``...).
         """
         metric = get_metric(self.vector_specs[field][1])
@@ -198,34 +206,45 @@ class Segment:
                 f"index:{index.index_type}" if index is not None else "brute_force",
             )
         if index is not None:
-            return self._search_with_index(
-                index, queries, k, exclude, row_filter, **search_params
+            result = self._search_with_index(
+                index, queries, k, exclude, row_filter, collector, **search_params
             )
-        return self._brute_force(metric, field, queries, k, exclude, row_filter)
+        else:
+            result = self._brute_force(
+                metric, field, queries, k, exclude, row_filter, collector)
+        if collector is None:
+            return result
+        if result is not None:
+            collector.add_result(result.ids, result.scores)
+        return None
 
-    def _dead_positions(self, exclude: Optional[np.ndarray]) -> np.ndarray:
-        """Ascending positions of the rows of this segment that
-        ``exclude`` (sorted tombstoned row ids, any segment's) hides.
+    def _dead_rows(self, exclude: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """Ascending positions, and the row ids, of the rows of this
+        segment that ``exclude`` (sorted tombstoned row ids, any
+        segment's) hides.
 
         A collection's tombstones mostly live in other segments, and a
         request only needs this segment's: they are worked out once per
         tombstone array and remembered under the array's identity.  The
         manifest never writes into a tombstone array, it replaces it,
         and a segment never changes, so the same array always means the
-        same positions.  Reader threads publish the pair by one
-        assignment; two that race on a new array store equal answers.
+        same positions — and the same id array, which is what lets an
+        index remember its own translation of it the same way.  Reader
+        threads publish the triple by one assignment; two that race on
+        a new array store equal answers.
         """
         if exclude is None or not len(exclude):
-            return _NO_ROWS
-        known_for, dead = self._dead
+            return _NO_ROWS, _NO_ROWS
+        known_for, dead, dead_ids = self._dead
         if known_for is not exclude:
             dead = np.flatnonzero(sorted_membership(self.row_ids, exclude))
-            self._dead = (exclude, dead)
-        return dead
+            dead_ids = self.row_ids[dead]
+            self._dead = (exclude, dead, dead_ids)
+        return dead, dead_ids
 
     def _admissible_mask(self, exclude, row_filter) -> Optional[np.ndarray]:
         mask = None
-        dead = self._dead_positions(exclude)
+        dead, __ = self._dead_rows(exclude)
         if len(dead):
             mask = np.ones(len(self.row_ids), dtype=bool)
             mask[dead] = False
@@ -253,7 +272,13 @@ class Segment:
             return cosine_pairwise(queries, data, data_unit=unit)
         return metric.pairwise(queries, data)
 
-    def _brute_force(self, metric, field, queries, k, exclude, row_filter) -> SearchResult:
+    def _brute_force(
+        self, metric, field, queries, k, exclude, row_filter, collector=None,
+    ) -> Optional[SearchResult]:
+        if (collector is not None and row_filter is None
+                and metric.name in GEMM_METRICS):
+            self._contribute_rows(metric, field, queries, exclude, collector)
+            return None
         mask = self._admissible_mask(exclude, row_filter)
         data = self.vectors[field]
         ids = self.row_ids
@@ -261,12 +286,7 @@ class Segment:
             data = data[mask]
             ids = ids[mask]
         result = SearchResult.empty(len(queries), k, metric)
-        node = current_node()
-        if node is not None:
-            node.count("rows_scanned", len(data))
-            node.count("distance_evals", len(queries) * len(data))
-            if mask is not None:
-                node.count("candidates_pruned", len(self.row_ids) - len(data))
+        _count_exact_scan(len(queries), len(data), len(self.row_ids) - len(data))
         if len(data) == 0:
             return result
         scores = self._pairwise_scores(metric, field, queries, data, mask)
@@ -278,23 +298,59 @@ class Segment:
             result.scores[qi, : len(top_scores)] = top_scores
         return result
 
+    def _contribute_rows(self, metric, field, queries, exclude, collector) -> None:
+        """Score the whole field matrix for ``collector``: the segment
+        as an IVF with one list, through the same kernel.
+
+        Dead rows are scored with the rest and then given the worst
+        score where they lie — no masked copy of the matrix, no top-k.
+        """
+        data = self.vectors[field]
+        dead, __ = self._dead_rows(exclude)
+        _count_exact_scan(len(queries), len(data) - len(dead), len(dead))
+        if len(data) == 0:
+            return
+        term = None
+        if metric.name == "l2":
+            term = self.kernel_cache.squared_norms(field, data)
+        elif metric.name == "cosine":
+            term = self.kernel_cache.inverse_norms(field, data)
+        scan = GemmScan(metric.name, queries, data, term)
+        whole = [(0, len(data))]
+        for qi in range(len(queries)):
+            scores = scan.final(qi, scan.keyed_ranges(whole, qi))
+            if len(dead):
+                scores[dead] = metric.worst_value()
+            collector.add(qi, scores, (self.row_ids,))
+
     def _search_with_index(
-        self, index, queries, k, exclude, row_filter, **search_params
-    ) -> SearchResult:
+        self, index, queries, k, exclude, row_filter, collector=None,
+        **search_params,
+    ) -> Optional[SearchResult]:
         metric = index.metric
-        dead_rows = self._dead_positions(exclude)
+        dead_rows, dead_ids = self._dead_rows(exclude)
         n_excluded = len(dead_rows)
-        # Oversearch by this segment's own dead rows, so that dropping
-        # them still yields k; tombstones of other segments cost nothing.
+        if n_excluded and index.supports_search_param("hidden"):
+            # The index masks this segment's dead rows where they lie.
+            search_params["hidden"] = dead_ids
+            n_excluded = 0
+        # Otherwise oversearch by them, so that dropping them still
+        # yields k; tombstones of other segments cost nothing.
         k_eff = min(k + n_excluded, index.ntotal) if n_excluded else k
+        if collector is not None and index.supports_search_param("collector"):
+            search_params["collector"] = collector
         if row_filter is not None:
             # IVF indexes support pushdown; others fall back to brute force.
             try:
                 raw = index.search(queries, k_eff, row_filter=row_filter, **search_params)
             except TypeError:
-                return self._brute_force(metric, _field_of(self, index), queries, k, exclude, row_filter)
+                return self._brute_force(
+                    metric, _field_of(self, index), queries, k, exclude,
+                    row_filter, collector)
         else:
             raw = index.search(queries, k_eff, **search_params)
+        if raw is None:  # contributed to the collector
+            return None
         if not n_excluded:
             if raw.k == k:
                 return raw
@@ -305,7 +361,6 @@ class Segment:
         # point count as pruned.  The block is k + n_excluded wide and
         # the stop is usually near k, so look at a prefix and double it
         # until every query has stopped inside it.
-        dead_ids = self.row_ids[dead_rows]
         width = k
         while True:
             width = min(2 * width, raw.k)
@@ -447,6 +502,16 @@ class Segment:
             meta["segment_id"], row_ids, vectors, attributes, specs,
             version=meta["version"], categoricals=categoricals, bloom=bloom,
         )
+
+
+def _count_exact_scan(nq: int, scanned: int, hidden: int) -> None:
+    """Work counters of an exact scan that leaves ``hidden`` rows out."""
+    node = current_node()
+    if node is not None:
+        node.count("rows_scanned", scanned)
+        node.count("distance_evals", nq * scanned)
+        if hidden:
+            node.count("candidates_pruned", hidden)
 
 
 def _field_of(segment: Segment, index: VectorIndex) -> str:

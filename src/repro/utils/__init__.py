@@ -16,6 +16,7 @@ from repro.utils.sanitizer import (
     maybe_sanitize,
 )
 from repro.utils.topk import (
+    TopKCollector,
     TopKHeap,
     topk_from_scores,
     merge_topk,
@@ -36,6 +37,7 @@ __all__ = [
     "ThreadSanitizer",
     "assert_guarded",
     "maybe_sanitize",
+    "TopKCollector",
     "TopKHeap",
     "topk_from_scores",
     "merge_topk",

@@ -4,7 +4,10 @@ The paper's cache-aware design (Sec. 3.2.1) keeps one bounded heap per
 (query, thread) pair and merges them at the end; :class:`TopKHeap` and
 :func:`merge_topk` are those two primitives.  For fully vectorized
 paths, :func:`topk_from_scores` extracts top-k directly from a score
-array with ``argpartition``.
+array with ``argpartition``.  :class:`TopKCollector` is the Faiss
+library paper's form of the same idea across scans: every scan of a
+request hands over raw scores, and one threshold per query — not one
+top-k per scan — decides what survives.
 """
 
 from __future__ import annotations
@@ -212,6 +215,70 @@ def merge_topk_batch(
         out_ids = np.pad(out_ids, ((0, 0), (0, pad)), constant_values=-1)
         out_scores = np.pad(out_scores, ((0, 0), (0, pad)), constant_values=worst)
     return out_ids, out_scores
+
+
+class TopKCollector:
+    """One request's candidates from every scan, closed by one
+    selection per query.
+
+    A scan contributes, per query, whatever it scored — the rows of its
+    probed lists, a whole unindexed segment, or an already finished
+    top-k — as *real metric scores*, so that parts scored by different
+    kernels compare.  Nothing is selected until :meth:`close`: one
+    ``partition`` over everything a query collected gives its exact
+    k-th best score, and one sort orders the few rows at or under it.
+    Equal scores order by contribution: the scan that added first, then
+    the position within what it added.
+
+    A row a scan must hide (a tombstone) stays in place and carries the
+    metric's worst value; such a row is never returned, so a scan need
+    neither compact its scores nor ask for more than ``k``.
+
+    Not thread-safe: the scans of one request run on one thread.
+    """
+
+    def __init__(self, nq: int, k: int, higher_is_better: bool = False):
+        self.k = k
+        self.higher_is_better = higher_is_better
+        self._scores: List[List[np.ndarray]] = [[] for __ in range(nq)]
+        self._ids: List[List[np.ndarray]] = [[] for __ in range(nq)]
+
+    def add(self, qi: int, scores: np.ndarray, ids: Sequence[np.ndarray]) -> None:
+        """Candidates of query ``qi``: 1-D ``scores`` and the id arrays
+        that, end to end, line up with them."""
+        self._scores[qi].append(scores)
+        self._ids[qi].extend(ids)
+
+    def add_result(self, ids: np.ndarray, scores: np.ndarray) -> None:
+        """A finished ``(nq, k')`` result in the ``SearchResult``
+        convention (best-first, padded with id ``-1``)."""
+        valid = (ids >= 0).sum(axis=1).tolist()
+        for qi, n in enumerate(valid):
+            if n:
+                self.add(qi, scores[qi, :n], (ids[qi, :n],))
+
+    def close(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ids, scores)``, ``(nq, k)`` best-first, padded with id
+        ``-1`` and the worst score; scores are float64."""
+        nq, k = len(self._scores), self.k
+        out_ids = np.full((nq, k), -1, dtype=np.int64)
+        keys = np.full((nq, k), np.inf, dtype=np.float64)
+        for qi, parts in enumerate(self._scores):
+            if not parts:
+                continue
+            keyed = np.concatenate(parts)
+            if self.higher_is_better:
+                np.negative(keyed, out=keyed)
+            # Hidden rows are keyed +inf: they lose to every real row
+            # and, when fewer than k real rows exist, are cut here.
+            kth = np.partition(keyed, k - 1)[k - 1] if len(keyed) > k else np.inf
+            hit = (keyed <= kth if kth < np.inf else keyed < np.inf).nonzero()[0]
+            key = keyed[hit]
+            # stable, and the hits ascend: ties keep contribution order
+            order = key.argsort(kind="stable")[:k]
+            out_ids[qi, :len(order)] = np.concatenate(self._ids[qi])[hit[order]]
+            keys[qi, :len(order)] = key[order]
+        return out_ids, -keys if self.higher_is_better else keys
 
 
 def merge_result_lists(

@@ -9,7 +9,11 @@ probe must return exactly that, for every index type, metric, ``k`` and
 add order, and must report the work the oracle counts — in *both* of
 its regimes, bucket-major and query-major, whichever of the two
 ``probes_query_major`` would pick for the request: every check below
-runs ``index.search`` and then each regime by name.
+runs ``index.search`` and then each regime by name — and then once
+more with the probe scoring into a ``TopKCollector`` that takes the
+threshold and the sort for it.  ``hidden`` rows (a segment's
+tombstones) are part of the definition: scored where they lie, never
+returned, counted as pruned.
 """
 
 import io
@@ -27,8 +31,10 @@ from repro.index import (
     index_from_bytes,
     index_to_bytes,
 )
+from repro.index.base import SearchResult
 from repro.index.ivf_common import probes_query_major
 from repro.obs.profile import QueryProfile
+from repro.utils import TopKCollector
 
 DIM, NLIST = 16, 12
 METRICS = ("l2", "ip", "cosine")
@@ -109,9 +115,13 @@ class Model:
             return np.divide(x @ q, norms, out=np.zeros(len(x)), where=norms > 0)
         return x @ q
 
-    def search(self, queries, k, nprobe, row_filter=None):
+    def search(self, queries, k, nprobe, row_filter=None, hidden=None):
         """Per query: (row positions best-first, their scores), plus the
-        work counters an exact executor of the definition reports."""
+        work counters an exact executor of the definition reports.
+
+        A ``row_filter`` decides which probed rows are scored at all,
+        and a hidden row is not admissible; without one every probed
+        row is scored and the hidden ones are dropped afterwards."""
         labels = self.labels()
         sizes = np.bincount(labels, minlength=self.index.nlist)
         buckets = self.index.select_buckets(queries, nprobe)
@@ -125,12 +135,16 @@ class Model:
             rows = np.flatnonzero(np.isin(labels, buckets[qi]))
             work["buckets_probed"] += int(np.count_nonzero(sizes[buckets[qi]]))
             work["rows_scanned"] += len(rows)
+            probed = len(rows)
+            live = rows
+            if hidden is not None:
+                live = rows[~np.isin(self.ids[rows], hidden)]
             if row_filter is not None:
-                kept = rows[np.isin(self.ids[rows], row_filter)]
-                work["candidates_pruned"] += len(rows) - len(kept)
-                rows = kept
+                rows = live = live[np.isin(self.ids[live], row_filter)]
+            work["candidates_pruned"] += probed - len(live)
             work["distance_evals"] += len(rows)
             work["bytes_read"] += len(rows) * self.index.row_code_bytes()
+            rows = live
             scores = self.scores(query, rows)
             order = np.argsort(-scores if higher else scores, kind="stable")[:k]
             out.append((rows[order], scores[order]))
@@ -157,27 +171,51 @@ class Model:
 REGIMES = {"bucket-major": False, "query-major": True}
 
 
-def search_in(index, regime, queries, k, nprobe, row_filter=None):
+def search_in(index, regime, queries, k, nprobe, row_filter=None, hidden=None):
     """What ``index.search`` does on a non-empty index, with the probe
     regime named by the caller instead of selected from the shape."""
     queries = index._check_vectors(queries)
     return index._search_pruned(
         queries, k, index.select_buckets(queries, nprobe), row_filter,
-        REGIMES[regime])
+        REGIMES[regime], hidden)
 
 
-def check_against_oracle(model, queries, k, nprobe, row_filter=None, atol=ATOL):
-    """``index.search`` and each regime called directly, against the
-    oracle; returns what ``index.search`` returned."""
-    params = {} if row_filter is None else {"row_filter": row_filter}
-    want, work = model.search(queries, k, nprobe, row_filter)
+def given_params(**params):
+    """The search parameters the caller actually set."""
+    return {key: value for key, value in params.items() if value is not None}
+
+
+def search_collected(index, queries, k, nprobe, row_filter=None, hidden=None):
+    """The probe scoring into a collector of its own, and what that
+    collector makes of it."""
+    params = given_params(row_filter=row_filter, hidden=hidden)
+    collector = TopKCollector(len(queries), k, index.metric.higher_is_better)
+    assert index.search(
+        queries, k, nprobe=nprobe, collector=collector, **params) is None
+    return SearchResult(*collector.close())
+
+
+def check_against_oracle(
+        model, queries, k, nprobe, row_filter=None, atol=ATOL, hidden=None):
+    """``index.search``, each regime called directly and the probe
+    behind a collector, against the oracle; returns what
+    ``index.search`` returned."""
+    params = given_params(row_filter=row_filter, hidden=hidden)
+    want, work = model.search(queries, k, nprobe, row_filter, hidden)
     with QueryProfile("probe") as prof:
         selected = model.index.search(queries, k, nprobe=nprobe, **params)
     check_result(model, queries, k, row_filter, atol, selected, prof, want, work)
     for regime in REGIMES:
         with QueryProfile("probe") as prof:
-            got = search_in(model.index, regime, queries, k, nprobe, row_filter)
+            got = search_in(
+                model.index, regime, queries, k, nprobe, row_filter, hidden)
         check_result(model, queries, k, row_filter, atol, got, prof, want, work)
+    with QueryProfile("probe") as prof:
+        got = search_collected(model.index, queries, k, nprobe, row_filter, hidden)
+    assert got.scores.dtype == np.float64
+    check_result(model, queries, k, row_filter, atol, got, prof, want, work)
+    if hidden is not None:
+        assert not np.isin(selected.ids, hidden).any()
     return selected
 
 
@@ -286,6 +324,45 @@ class TestProbeMatchesOracle:
         got = check_against_oracle(model, queries, 6, 5, row_filter)
         if which in ("empty", "absent-ids"):
             assert (got.ids == -1).all()
+
+    @pytest.mark.parametrize("k", [5, 150])
+    @pytest.mark.parametrize("which", [
+        "none", "absent-ids", "a-few", "a-bucket", "half", "all"])
+    def test_hidden_rows(self, built, queries, itype, metric, which, k):
+        """Tombstones of the owning segment: in place, never returned,
+        and ``k`` is what the caller asked for."""
+        model = built(itype, metric)
+        hidden = {
+            "none": np.empty(0, dtype=np.int64),
+            "absent-ids": np.array([-5, 1, 2, 999999], dtype=np.int64),
+            "a-few": np.sort(model.ids[[3, 17, 40, 41, 299]]),
+            "a-bucket": np.sort(model.ids[model.labels() == 4]),
+            "half": np.sort(model.ids[1::2]),
+            "all": np.sort(model.ids),
+        }[which]
+        got = check_against_oracle(model, queries, k, 5, hidden=hidden)
+        if which == "all":
+            assert (got.ids == -1).all()
+        # ... and under a filter they are simply not admissible
+        check_against_oracle(
+            model, queries, k, 5, np.sort(model.ids[::3]), hidden=hidden)
+
+    def test_hidden_rows_are_translated_once_per_array(
+            self, built, queries, itype, metric, monkeypatch):
+        from repro.index.ivf_common import ListsSnapshot
+
+        model = built(itype, metric)
+        calls = []
+        positions_of = ListsSnapshot.positions_of
+        monkeypatch.setattr(
+            ListsSnapshot, "positions_of",
+            lambda self, ids: calls.append(ids) or positions_of(self, ids))
+        hidden = np.sort(model.ids[:9])
+        for nq in (1, 9):  # both regimes
+            model.index.search(queries[:nq], 5, nprobe=NLIST, hidden=hidden)
+        assert len(calls) == 1 and calls[0] is hidden
+        model.index.search(queries, 5, nprobe=4, hidden=hidden.copy())
+        assert len(calls) == 2
 
     def test_single_query_equals_its_row_of_the_batch(
             self, built, queries, itype, metric):
@@ -408,7 +485,8 @@ class TestCustomDenseMetric:
         index.add(data)
         stored = data if cls is IVFFlatIndex else index.sq.decode(index.sq.encode(data))
         exact = np.abs(queries[:, None, :] - stored[None, :, :]).sum(axis=2)
-        for got in [index.search(queries, 5, nprobe=NLIST)] + [
+        for got in [index.search(queries, 5, nprobe=NLIST),
+                    search_collected(index, queries, 5, NLIST)] + [
                 search_in(index, regime, queries, 5, NLIST) for regime in REGIMES]:
             np.testing.assert_array_equal(got.ids, np.argsort(exact, axis=1)[:, :5])
             np.testing.assert_allclose(
@@ -474,7 +552,7 @@ class TestAddOrder:
             st.one_of(
                 st.tuples(st.just("add"), st.integers(1, 60)),
                 st.tuples(st.just("search"), st.integers(1, 80),
-                          st.integers(1, NLIST), st.booleans()),
+                          st.integers(1, NLIST), st.booleans(), st.booleans()),
             ),
             min_size=2, max_size=7,
         ),
@@ -497,16 +575,19 @@ class TestAddOrder:
                 next_id += 2 * n
                 model.add(clustered(n, seed=int(rng.integers(1 << 30))), ids)
             else:
-                __, k, nprobe, filtered = op
-                row_filter = None
+                __, k, nprobe, filtered, tombstoned = op
+                row_filter = hidden = None
                 if filtered and len(model.ids):
                     keep = rng.random(len(model.ids)) < 0.5
                     row_filter = np.sort(model.ids[keep])
+                if tombstoned and len(model.ids):
+                    hidden = np.sort(model.ids[rng.random(len(model.ids)) < 0.3])
                 queries = clustered(3, seed=int(rng.integers(1 << 30)))
                 if len(model.ids) == 0:
                     assert (model.index.search(queries, k).ids == -1).all()
                     continue
-                check_against_oracle(model, queries, k, nprobe, row_filter)
+                check_against_oracle(
+                    model, queries, k, nprobe, row_filter, hidden=hidden)
 
 
 #: (type, metric) -> blob of a trained, empty index (training is the slow part)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.storage import (
     InMemoryObjectStore,
@@ -306,28 +307,50 @@ class TestOneScanSearch:
             lsm.close()
 
     def test_two_scans_still_fan_out_and_merge(self, data, scans, monkeypatch):
+        """... when the request is bucket-major; a query-major one
+        scores both scans into one collector, and calls neither the
+        executor nor the merge; one scan does neither in any shape."""
+        from repro.exec import QueryExecutor
         from repro.storage import lsm as lsm_module
+        from repro.utils import TopKCollector
 
-        merges = []
-        merge = lsm_module.merge_topk_batch
-        monkeypatch.setattr(
-            lsm_module, "merge_topk_batch",
-            lambda *a, **kw: merges.append(1) or merge(*a, **kw))
+        calls = []
+
+        def counting(owner, name, tag):
+            real = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *a, **kw: calls.append(tag) or real(*a, **kw))
+
+        counting(lsm_module, "merge_topk_batch", "merge")
+        counting(QueryExecutor, "map_ordered", "fan-out")
+        counting(TopKCollector, "close", "collect")
         lsm = make_lsm()
         for lo in (0, 100):
             lsm.insert(np.arange(lo, lo + 100), {"emb": data[lo:lo + 100]},
                        {"price": np.zeros(100)})
             lsm.flush()
-        got = lsm.search("emb", data[[5, 150]], 3)
-        assert len(scans) == 2 and merges == [1]
-        assert got.ids[:, 0].tolist() == [5, 150]
-        assert got.scores.dtype == np.float64
+        rows = np.arange(0, 200, 5)  # 40 queries x 8 probes > 2 x 128 lists
+        for parallel in (False, True):
+            del calls[:], scans[:]
+            got = lsm.search("emb", data[rows], 3, parallel=parallel)
+            assert calls == ["fan-out", "merge"] and len(scans) == 2
+            assert all(partial is not None for partial in scans)
+            assert got.ids[:, 0].tolist() == rows.tolist()
+            assert got.scores.dtype == np.float64
+
+            del calls[:], scans[:]
+            got = lsm.search("emb", data[[5, 150]], 3, parallel=parallel)
+            assert calls == ["collect"] and scans == [None, None]
+            assert got.ids[:, 0].tolist() == [5, 150]
+            assert got.scores.dtype == np.float64
         # ... and one scan does neither
         one = make_lsm()
         one.insert(np.arange(100), {"emb": data[:100]}, {"price": np.zeros(100)})
         one.flush()
-        one.search("emb", data[:2], 3)
-        assert merges == [1]
+        del calls[:]
+        one.search("emb", data[:2], 3, parallel=False)
+        one.search("emb", data[:100:2], 3, parallel=False)
+        assert calls == []
 
     def test_an_empty_collection_still_answers(self):
         got = make_lsm().search("emb", np.zeros((2, 16), np.float32), 3)
@@ -336,8 +359,10 @@ class TestOneScanSearch:
 
 class TestTombstonesStayLocal:
     def test_a_segment_without_dead_rows_is_searched_at_k(self, data, monkeypatch):
-        """However many tombstones the collection carries, a segment
-        holding none of the dead rows is asked for exactly k."""
+        """However many tombstones the collection carries, every index
+        that can mask is asked for exactly k — the segment holding the
+        dead rows is told to hide them, the one holding none is told
+        nothing."""
         from repro.index.base import VectorIndex
 
         lsm = make_lsm()
@@ -358,11 +383,17 @@ class TestTombstonesStayLocal:
             monkeypatch.setattr(
                 index, "search",
                 lambda q, k, name=name, index=index, **kw:
-                    asked.update({name: k}) or search(index, q, k, **kw))
-        got = lsm.search("emb", data[[5, 200, 450]], 7, nprobe=8)
-        assert asked == {"first": 7 + 120, "second": 7}
-        assert not np.isin(got.ids, dead).any()
-        assert got.ids[:, 0].tolist()[1:] == [200, 450]
+                    asked.update({name: (k, kw.get("hidden"))})
+                    or search(index, q, k, **kw))
+        for nq in (3, 60):  # one collector; fan-out and merge
+            asked.clear()
+            rows = np.r_[5, 200, 450, np.arange(300, 300 + nq - 3)]
+            got = lsm.search("emb", data[rows], 7, nprobe=8, parallel=False)
+            assert asked["second"] == (7, None)
+            k, hidden = asked["first"]
+            assert k == 7 and hidden.tolist() == dead.tolist()
+            assert not np.isin(got.ids, dead).any()
+            assert got.ids[:, 0].tolist()[1:] == rows[1:].tolist()
 
 
 class TestBuildIndexIdempotent:
@@ -458,3 +489,404 @@ class TestBuildIndexIdempotent:
         lsm = self.flushed(data)
         with pytest.raises(TypeError):
             lsm.build_index("emb", "IVF_FLAT", bogus=1)
+
+
+# -- several scans: one collector, or fan-out and merge ------------------------------
+
+
+class TestCollectorRule:
+    """Which of the two a request gets is read off its shape."""
+
+    @pytest.mark.parametrize("nq,nprobe,nlist,n_scans,collects", [
+        (1, 8, 128, 1, False),    # search_single: one scan, nothing to share
+        (64, 32, 128, 1, False),  # search_batch
+        (8, 16, 128, 1, False),   # search_filtered
+        (1, 8, 128, 4, True),     # mixed_rw
+        (64, 32, 128, 4, False),  # a batch over mixed_rw's segments: merge
+        (1, 8, 128, 0, False),
+        (1, 8, 128, 2, True),
+        (16, 16, 128, 4, True),   # exactly two pairs per list
+        (17, 16, 128, 4, False),
+        (32, 8, 128, 6, True),
+        (33, 8, 128, 6, False),
+        (2, 1000, 128, 2, True),  # nprobe is clamped to nlist first
+        (3, 1000, 128, 2, False),
+        (2, 8, 8, 3, True),       # few lists: the crossover moves with nlist
+        (3, 8, 8, 3, False),
+    ])
+    def test_rule(self, nq, nprobe, nlist, n_scans, collects):
+        from repro.storage.lsm import collects_scans
+
+        assert collects_scans(nq, nprobe, nlist, n_scans) is collects
+
+    def test_lsm_asks_it_about_the_request(self, data, monkeypatch):
+        """nq from the queries, nprobe from the caller (or the IVF
+        default), nlist from the collection's index configuration, the
+        scans from the snapshot — and nothing else, ``parallel`` least."""
+        from repro.index.ivf_common import DEFAULT_NLIST, DEFAULT_NPROBE
+        from repro.storage import lsm as lsm_module
+
+        asked = []
+        rule = lsm_module.collects_scans
+        monkeypatch.setattr(
+            lsm_module, "collects_scans",
+            lambda *shape: asked.append(shape) or rule(*shape))
+        for config, nlist in (({}, DEFAULT_NLIST), ({"index_params": {"nlist": 8}}, 8)):
+            lsm = make_lsm(**config)
+            for lo in (0, 100, 200):
+                lsm.insert(np.arange(lo, lo + 100), {"emb": data[lo:lo + 100]},
+                           {"price": np.zeros(100)})
+                lsm.flush()
+            del asked[:]
+            lsm.search("emb", data[:5], 3, parallel=True)
+            lsm.search("emb", data[:2], 3, nprobe=4, parallel=False)
+            assert asked == [(5, DEFAULT_NPROBE, nlist, 3), (2, 4, nlist, 3)]
+
+    def test_the_collector_is_not_a_search_parameter(self, data):
+        lsm = make_lsm()
+        lsm.insert(np.arange(100), {"emb": data[:100]}, {"price": np.zeros(100)})
+        lsm.flush()
+        for name in ("collector", "hidden"):
+            with pytest.raises(TypeError, match=name):
+                lsm.search("emb", data[:2], 3, **{name: None})
+
+
+def gaussian(n, seed, dim=16):
+    return np.random.default_rng(seed).standard_normal((n, dim)).astype(np.float32)
+
+
+def make_scan(seg_id, row_ids, vectors, metric, itype=None):
+    from repro.storage import Segment
+
+    segment = Segment(seg_id, np.asarray(row_ids, dtype=np.int64),
+                      {"emb": vectors}, {}, {"emb": (vectors.shape[1], metric)})
+    if itype is not None:
+        segment.build_index("emb", itype, **INDEX_PARAMS.get(itype, {}))
+    return segment
+
+
+def merged(scans, queries, k, higher, **params):
+    """Each scan's own top-k, then one merge: the fan-out path."""
+    from repro.utils import merge_topk_batch
+
+    partials = [scan.search("emb", queries, k, **params) for scan in scans]
+    return merge_topk_batch(
+        [(p.ids, p.scores) for p in partials], k, higher,
+        nq=len(queries), dtype=np.float64)
+
+
+def collected(scans, queries, k, higher, **params):
+    """Every scan into one collector: the query-major path."""
+    from repro.utils import TopKCollector
+
+    collector = TopKCollector(len(queries), k, higher)
+    for scan in scans:
+        assert scan.search("emb", queries, k, collector=collector, **params) is None
+    return collector.close()
+
+
+class TestCollectorEqualsMerge:
+    """Both ways of combining scans, called directly — which one a
+    request gets is ``TestCollectorRule``'s business — return the same
+    rows: the candidate set is the same, only who selects differs."""
+
+    #: rows 0..299 indexed, 300..499 and 500..539 not, 540..559 all
+    #: dead, one segment empty; tombstones in every live one
+    DEAD = np.r_[np.arange(5, 300, 7), 305, 306, 499, 500,
+                 np.arange(540, 560), 10_000].astype(np.int64)
+
+    def scans(self, metric, itype):
+        data = gaussian(560, seed=3)
+        return data, [
+            make_scan(0, np.arange(300), data[:300], metric, itype),
+            make_scan(1, np.arange(300, 500), data[300:500], metric),
+            make_scan(2, [], data[:0], metric),
+            make_scan(3, np.arange(500, 540), data[500:540], metric),
+            make_scan(4, np.arange(540, 560), data[540:], metric),
+        ]
+
+    def check(self, scans, queries, k, metric, tied_codes=False, **params):
+        from repro.metrics import get_metric
+
+        higher = get_metric(metric).higher_is_better
+        want_ids, want_scores = merged(scans, queries, k, higher, **params)
+        got_ids, got_scores = collected(scans, queries, k, higher, **params)
+        assert got_ids.dtype == np.int64 and got_scores.dtype == np.float64
+        np.testing.assert_allclose(got_scores, want_scores, rtol=1e-5, atol=1e-5)
+        differ = got_ids != want_ids
+        if tied_codes:
+            # rows with one PQ code score bit-equal; among those the
+            # two paths may order differently (and only among those)
+            with np.errstate(invalid="ignore"):  # pad next to pad
+                gap = np.abs(np.diff(want_scores, axis=1)) > 1e-5
+            alone = np.pad(gap, ((0, 0), (1, 0)), constant_values=True) \
+                & np.pad(gap, ((0, 0), (0, 1)), constant_values=False)
+            differ &= alone
+        assert not differ.any()
+        if params.get("exclude") is not None:
+            assert not np.isin(got_ids, params["exclude"]).any()
+        return got_ids
+
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
+    @pytest.mark.parametrize("itype", [None, *dense_index_types()])
+    def test_every_index_type_and_metric(self, itype, metric):
+        data, scans = self.scans(metric, itype)
+        queries = gaussian(6, seed=4)
+        params = {"nprobe": 3} if (itype or "").startswith("IVF") else {}
+        params["tied_codes"] = itype in ("IVF_PQ", "IVF_OPQ")
+        for k in (1, 10, 700):  # 700: more than all the scans hold
+            for exclude in (None, self.DEAD):
+                ids = self.check(scans, queries, k, metric, exclude=exclude, **params)
+                valid = ids >= 0
+                assert (np.diff(valid.astype(int), axis=1) <= 0).all()  # pads last
+        # an admissible set: pushed down where the index can, exact
+        # where it cannot
+        row_filter = np.arange(0, 560, 3, dtype=np.int64)
+        ids = self.check(scans, queries, 10, metric, exclude=self.DEAD,
+                         row_filter=row_filter, **params)
+        assert np.isin(ids[ids >= 0], row_filter).all()
+        # strategy A: the index bypassed
+        self.check(scans, queries, 10, metric, exclude=self.DEAD,
+                   row_filter=row_filter, brute_force=True)  # no index, no ties
+        if itype in (None, "FLAT"):
+            exact = self.check(scans, data[[7, 400, 520]], 2, metric, exclude=self.DEAD)
+            if metric != "ip":
+                assert exact[:, 0].tolist() == [7, 400, 520]
+
+    def test_a_metric_without_a_gemm_form(self):
+        from repro.metrics import Metric
+
+        class L1(Metric):
+            name = "test_lsm_l1"
+            higher_is_better = False
+
+            def pairwise(self, queries, data):
+                return np.abs(queries[:, None, :] - data[None, :, :]).sum(axis=2)
+
+        metric = L1()
+        data = gaussian(300, seed=5)
+        scans = [make_scan(0, np.arange(200), data[:200], metric),
+                 make_scan(1, np.arange(200, 300), data[200:], metric)]
+        scans[0].build_index("emb", "IVF_FLAT", nlist=8)
+        dead = np.array([3, 150, 250], dtype=np.int64)
+        queries = gaussian(4, seed=6)
+        want = merged(scans, queries, 5, False, nprobe=8, exclude=dead)
+        got = collected(scans, queries, 5, False, nprobe=8, exclude=dead)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-5)
+        exact = np.abs(queries[:, None, :] - data[None, :, :]).sum(axis=2)
+        exact[:, dead] = np.inf
+        np.testing.assert_array_equal(got[0], np.argsort(exact, axis=1)[:, :5])
+
+    def test_equal_scores_come_in_scan_order(self):
+        """The same vector in two segments, and twice in one: equal
+        scores order by (scan in the snapshot, position in the scan) —
+        a definition; the merge leaves its boundary tie to chance."""
+        # small integers: every product and sum is exact in float32, so
+        # equal vectors score equal whichever matrix they are rows of
+        data = np.rint(2 * gaussian(120, seed=7))
+        twin = data[17]
+        first = make_scan(0, np.arange(60), data[:60], "l2")
+        second = make_scan(1, np.arange(60, 122),
+                           np.vstack([data[60:], twin, twin]), "l2")
+        for scans, order in (((first, second), [17, 120, 121]),
+                             ((second, first), [120, 121, 17])):
+            for k in (1, 2, 3):
+                ids, scores = collected(scans, twin[None, :], k, False)
+                assert ids[0].tolist() == order[:k]
+                assert np.unique(scores).size == 1  # bit-equal, not close
+        indexed = make_scan(2, np.arange(60, 122),
+                            np.vstack([data[60:], twin, twin]), "l2", "IVF_FLAT")
+        ids, __ = collected((indexed, first), twin[None, :], 3, False, nprobe=8)
+        assert ids[0].tolist() == [120, 121, 17]
+
+    def test_through_the_lsm_with_a_frozen_view(self, data, monkeypatch):
+        """Sealed segments, indexed and not, and a frozen memtable with
+        deletes of its own: the manager's two regimes, each forced."""
+        from repro.storage import lsm as lsm_module
+
+        lsm = make_lsm(background=True)
+        try:
+            for lo in (0, 200):
+                lsm.insert(np.arange(lo, lo + 200), {"emb": data[lo:lo + 200]},
+                           {"price": np.zeros(200)})
+                lsm.flush()
+            lsm.live_segments()[0].build_index("emb", "IVF_FLAT", nlist=8)
+            lsm.delete(np.array([3, 250]))
+            lsm.flush()
+            dead = np.array([3, 250, 7, 390, 410])
+            with lsm._bg_lock:  # hold the flusher: the freeze stays frozen
+                lsm.insert(np.arange(400, 450), {"emb": data[400:450]},
+                           {"price": np.zeros(50)})
+                lsm.delete(dead[2:])
+                with lsm._lock:
+                    lsm._freeze_locked()
+                snap = lsm.snapshot()
+                try:
+                    assert (len(snap.segment_ids), len(snap.frozen_ids)) == (2, 1)
+                    answers = {}
+                    for collects in (True, False):
+                        monkeypatch.setattr(
+                            lsm_module, "collects_scans", lambda *shape: collects)
+                        answers[collects] = [
+                            lsm.search("emb", data[rows], k, snapshot=snap,
+                                       nprobe=8, parallel=False)
+                            for rows in ([5], [5, 250, 390, 420]) for k in (1, 10, 500)]
+                finally:
+                    lsm.release(snap)
+            for got, want in zip(answers[True], answers[False]):
+                np.testing.assert_array_equal(got.ids, want.ids)
+                # sift-like rows: |x|^2 of 3e5 in float32
+                np.testing.assert_allclose(got.scores, want.scores, rtol=1e-4)
+                assert not np.isin(got.ids, dead).any()
+            assert answers[True][3].ids[:, 0].tolist()[::3] == [5, 420]
+        finally:
+            lsm.wait_for_background()
+            lsm.close()
+
+    def test_parallel_is_serial_in_both_regimes(self, data):
+        lsm = make_lsm()
+        for lo in (0, 200, 400):
+            lsm.insert(np.arange(lo, lo + 200), {"emb": data[lo:lo + 200]},
+                       {"price": np.zeros(200)})
+            lsm.flush()
+        lsm.live_segments()[0].build_index("emb", "IVF_FLAT", nlist=8)
+        lsm.delete(np.arange(0, 600, 9))
+        lsm.flush()
+        for rows in (np.arange(2), np.arange(0, 600, 6)):  # 2 x 8 and 100 x 8 pairs
+            serial = lsm.search("emb", data[rows], 10, nprobe=8, parallel=False)
+            pooled = lsm.search("emb", data[rows], 10, nprobe=8, parallel=True, pool_size=3)
+            np.testing.assert_array_equal(serial.ids, pooled.ids)
+            np.testing.assert_array_equal(serial.scores, pooled.scores)
+
+
+class TestVisibleTombstones:
+    def test_equal_snapshot_content_is_one_array(self, data, monkeypatch):
+        """Under a pending frozen delete every request merges committed
+        and frozen tombstones; the merge is one object per content, so
+        two searches work out each segment's dead rows once."""
+        from repro.storage import segment as segment_module
+
+        lsm = make_lsm(background=True)
+        try:
+            for lo in (0, 150):
+                lsm.insert(np.arange(lo, lo + 150), {"emb": data[lo:lo + 150]},
+                           {"price": np.zeros(150)})
+                lsm.flush()
+            lsm.delete(np.array([4]))
+            lsm.flush()
+            passes = []
+            membership = segment_module.sorted_membership
+            monkeypatch.setattr(
+                segment_module, "sorted_membership",
+                lambda values, ref: passes.append(len(values)) or membership(values, ref))
+            with lsm._bg_lock:
+                lsm.insert(np.arange(300, 320), {"emb": data[300:320]},
+                           {"price": np.zeros(20)})
+                lsm.delete(np.array([9, 200]))
+                with lsm._lock:
+                    lsm._freeze_locked()
+                first, second = lsm.snapshot(), lsm.snapshot()
+                try:
+                    merged_deletes = lsm.visible_tombstones(first)
+                    assert merged_deletes.tolist() == [4, 9, 200]
+                    assert lsm.visible_tombstones(second) is merged_deletes
+                    for __ in range(2):
+                        got = lsm.search("emb", data[[4, 9, 200]], 2)
+                        assert not np.isin(got.ids, [4, 9, 200]).any()
+                    # one pass per sealed segment, one for the view
+                    assert sorted(passes) == [20, 150, 150]
+                finally:
+                    lsm.release(first)
+                    lsm.release(second)
+            lsm.wait_for_background()
+            # the flush commit replaced the committed array: a new merge
+            after = lsm.snapshot()
+            try:
+                assert lsm.visible_tombstones(after) is after.tombstones
+                assert after.tombstones.tolist() == [4, 9, 200]
+            finally:
+                lsm.release(after)
+        finally:
+            lsm.wait_for_background()
+            lsm.close()
+
+
+class TestAnyHistoryIsExact:
+    """Inserts, deletes, flushes, merges and index builds in any order:
+    what a search then returns is the exact top-k of the rows the
+    history leaves visible, in both regimes.  (Unindexed segments scan
+    exactly, and ``nprobe = nlist`` makes an IVF_FLAT scan exact.)"""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("insert"), st.integers(1, 40)),
+                st.tuples(st.just("delete"), st.integers(1, 25)),
+                st.tuples(st.just("flush")),
+                st.tuples(st.just("merge")),
+                st.tuples(st.just("index")),
+            ),
+            min_size=3, max_size=14,
+        ),
+        st.integers(0, 10_000),
+    )
+    def test_search_equals_exact_search_over_the_model(self, ops, seed):
+        rng = np.random.default_rng(seed)
+        lsm = make_lsm()
+        visible, unflushed, deleting = {}, {}, set()
+
+        def flush():
+            lsm.flush()
+            visible.update(unflushed)
+            unflushed.clear()
+            for row in deleting:
+                del visible[row]
+            deleting.clear()
+
+        next_id = 0
+        for op in [*ops, ("flush",)]:
+            if op[0] == "insert":
+                ids = np.arange(next_id, next_id + op[1])
+                next_id += op[1]
+                vectors = rng.standard_normal((op[1], 16)).astype(np.float32)
+                lsm.insert(ids, {"emb": vectors}, {"price": np.zeros(op[1])})
+                unflushed.update(zip(ids.tolist(), vectors))
+                continue
+            if op[0] == "delete":
+                candidates = sorted(set(visible) - deleting)
+                if candidates:
+                    rows = rng.choice(candidates, min(op[1], len(candidates)), replace=False)
+                    lsm.delete(np.sort(rows))
+                    deleting.update(rows.tolist())
+                continue
+            if op[0] == "flush":
+                flush()
+            elif op[0] == "merge":
+                lsm.maybe_merge()
+            else:
+                for segment in lsm.live_segments():
+                    if segment.num_rows >= 8 and not segment.has_index("emb"):
+                        segment.build_index("emb", "IVF_FLAT", nlist=4)
+            self.check(lsm, visible, rng)
+
+    def check(self, lsm, visible, rng):
+        ids = np.array(sorted(visible), dtype=np.int64)
+        rows = np.array([visible[i] for i in ids], dtype=np.float64).reshape(-1, 16)
+        for nq in (1, 70):  # 70 x 4 pairs over 128 lists: fan-out and merge
+            queries = rng.standard_normal((nq, 16)).astype(np.float32)
+            exact = ((queries[:, None, :].astype(np.float64) - rows[None]) ** 2).sum(-1)
+            for k in (1, 6):
+                got = lsm.search("emb", queries, k, nprobe=4)
+                n = min(k, len(ids))
+                assert (got.ids[:, :n] >= 0).all() and (got.ids[:, n:] == -1).all()
+                np.testing.assert_allclose(
+                    got.scores[:, :n], np.sort(exact, axis=1)[:, :n],
+                    rtol=1e-4, atol=1e-4)
+                # every id is a visible row and carries its own distance
+                where = np.searchsorted(ids, got.ids[:, :n])
+                assert (ids[where] == got.ids[:, :n]).all()
+                np.testing.assert_allclose(
+                    got.scores[:, :n], np.take_along_axis(exact, where, axis=1),
+                    rtol=1e-4, atol=1e-4)

@@ -106,6 +106,11 @@ def _drop_tombstones_reference(raw, exclude, k):
 
 
 class TestTombstoneCompaction:
+    """Dropping tombstoned hits gives what the per-hit loop over a
+    ``k + dead`` wide result gave — whether the index masks the dead
+    rows where they lie and is asked for ``k`` (IVF), or cannot, is
+    asked for ``k + dead`` and has the gaps closed (everything else)."""
+
     @pytest.mark.parametrize("n_dead,k,nprobe", [
         (1, 5, 8), (30, 5, 8), (150, 10, 8), (199, 3, 8), (200, 4, 8),
         (40, 60, 2),   # k above what two buckets hold: padded rows
@@ -116,21 +121,35 @@ class TestTombstoneCompaction:
         from repro.obs.profile import QueryProfile
 
         data = sift_like(200, dim=16, seed=0)
-        segment = make_segment(0, np.arange(200), data, np.zeros(200))
-        segment.build_index("emb", "IVF_FLAT", nlist=8)
         rng = np.random.default_rng(n_dead)
         exclude = np.sort(rng.choice(200, n_dead, replace=False)).astype(np.int64)
         queries = data[rng.choice(200, 6, replace=False)]
-        with QueryProfile("segment") as prof:
-            got = segment.search("emb", queries, k, nprobe=nprobe, exclude=exclude)
-        # what the index is asked for: k plus one slot per tombstone
-        raw = segment.indexes["emb"].search(
-            queries, min(k + n_dead, 200), nprobe=nprobe)
-        ids, scores, tombstoned = _drop_tombstones_reference(raw, exclude, k)
-        np.testing.assert_array_equal(got.ids, ids)
-        np.testing.assert_array_equal(got.scores, scores)
-        assert not np.isin(got.ids, exclude).any()
-        assert prof.total_counters().get("candidates_pruned", 0) == tombstoned
+
+        def check(itype, build, params):
+            segment = make_segment(0, np.arange(200), data, np.zeros(200))
+            segment.build_index("emb", itype, **build)
+            with QueryProfile("segment") as prof:
+                got = segment.search("emb", queries, k, exclude=exclude, **params)
+            # the wide result, one slot per tombstone, walked hit by hit
+            index = segment.indexes["emb"]
+            raw = index.search(queries, min(k + n_dead, 200), **params)
+            ids, scores, tombstoned = _drop_tombstones_reference(raw, exclude, k)
+            np.testing.assert_array_equal(got.ids, ids)
+            np.testing.assert_array_equal(got.scores, scores)
+            assert not np.isin(got.ids, exclude).any()
+            return index, prof.total_counters().get("candidates_pruned", 0), tombstoned
+
+        # cannot mask: pruned is what the walk met before it stopped
+        __, pruned, tombstoned = check("FLAT", {}, {})
+        assert pruned == tombstoned
+        # masks: pruned is every dead row inside a probed bucket,
+        # whatever k is
+        index, pruned, __ = check("IVF_FLAT", {"nlist": 8}, {"nprobe": nprobe})
+        snap = index.lists.snapshot()
+        dead_per_bucket = np.array([
+            np.isin(snap.ids[lo:hi], exclude).sum()
+            for lo, hi in zip(snap.offsets[:-1], snap.offsets[1:])])
+        assert pruned == dead_per_bucket[index.select_buckets(queries, nprobe)].sum()
 
 
 class TestOwnDeadRowsOnly:
@@ -164,14 +183,34 @@ class TestOwnDeadRowsOnly:
         np.testing.assert_array_equal(got.ids, want.ids)
         np.testing.assert_array_equal(got.scores, want.scores)
 
-    def test_widens_by_its_own_dead_rows(self, indexed, asked_k):
+    def test_widens_by_its_own_dead_rows(self, indexed, asked_k, monkeypatch):
+        """... when the index cannot mask them; one that can is asked
+        for k and told which rows to hide — its own, nobody else's."""
         segment, data = indexed
         exclude = np.concatenate([np.arange(900), [1000, 1003, 1100]]).astype(np.int64)
+        told = []
+        index = segment.indexes["emb"]
+        search = index.search
+        monkeypatch.setattr(
+            index, "search",
+            lambda q, k, **kw: told.append(kw.get("hidden")) or search(q, k, **kw))
         got = segment.search("emb", data[:4], 5, nprobe=8, exclude=exclude)
-        assert asked_k == [5 + 3]
+        assert asked_k == [5]
+        assert [hidden.tolist() for hidden in told] == [[1000, 1003, 1100]]
         assert not np.isin(got.ids, exclude).any()
         assert (got.ids >= 0).all()
         assert got.ids[1, 0] == 1001  # a live row still finds itself
+
+        flat = make_segment(0, np.arange(1000, 1200), data, np.zeros(200))
+        flat.build_index("emb", "FLAT")
+        asked = []
+        search_flat = flat.indexes["emb"].search
+        monkeypatch.setattr(
+            flat.indexes["emb"], "search",
+            lambda q, k, **kw: asked.append((k, sorted(kw))) or search_flat(q, k, **kw))
+        got_flat = flat.search("emb", data[:4], 5, exclude=exclude)
+        assert asked == [(5 + 3, [])]
+        np.testing.assert_array_equal(got_flat.ids, got.ids)  # nprobe=8 of 8: exact
 
     def test_brute_force_without_dead_rows_copies_nothing(self, monkeypatch):
         from repro.storage import segment as segment_module
