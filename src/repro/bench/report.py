@@ -6,7 +6,7 @@ Every benchmark ``main()`` funnels its measurements through
 
 .. code-block:: json
 
-    {"schema_version": 1, "name": "parallel",
+    {"schema_version": 1, "name": "mixed_rw",
      "workload": {...fixed workload parameters...},
      "series": [{...identity keys..., "qps": ..., "counters": {...}}]}
 

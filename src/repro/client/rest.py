@@ -43,7 +43,6 @@ newest first; a non-integer or out-of-range limit is a ``400``.
 
 from __future__ import annotations
 
-import os
 import re
 import time
 import urllib.parse
@@ -55,8 +54,9 @@ import numpy as np
 import repro
 from repro.client.sdk import MilvusClient
 from repro.core import MilvusLite, MilvusError
-from repro.exec.pool import parallel_enabled
 from repro.obs import enabled as obs_enabled, get_obs
+from repro.storage.lsm import resolve_background
+from repro.utils import sanitizer
 from repro.utils.retry import RetryExhaustedError, RetryPolicy
 
 #: anchor for ``uptime_seconds`` in ``GET /stats`` — monotonic, module
@@ -234,12 +234,23 @@ class RestRouter:
             float(filter_spec["high"]),
         )
 
+    @staticmethod
+    def _search_params(body: dict) -> dict:
+        """The body's ``params``: index knobs, never the SDK's own
+        ``explain`` / ``filter`` arguments (those are body fields or
+        routes of their own)."""
+        params = body.get("params", {})
+        for name in ("explain", "filter"):
+            if name in params:
+                raise ValueError(f"unknown search param {name!r}")
+        return params
+
     def _search(self, body: dict, query: Dict[str, str], name: str) -> RestResponse:
         queries = np.asarray(body["queries"], dtype=np.float32)
         filter_spec = self._parse_filter(body.get("filter"))
         hits = self.client.search(
             name, body["field"], queries, body.get("k", 10),
-            filter=filter_spec, **body.get("params", {}),
+            filter=filter_spec, **self._search_params(body),
         )
         return RestResponse(200, {
             "hits": [
@@ -256,7 +267,7 @@ class RestRouter:
         filter_spec = self._parse_filter(body.get("filter"))
         explained = self.client.search(
             name, body["field"], queries, body.get("k", 10),
-            filter=filter_spec, explain=True, **body.get("params", {}),
+            filter=filter_spec, explain=True, **self._search_params(body),
         )
         return RestResponse(200, {
             "hits": [
@@ -301,9 +312,8 @@ class RestRouter:
         stats["version"] = repro.__version__
         stats["flags"] = {
             "observability": obs_enabled(),
-            "sanitize": os.environ.get("REPRO_SANITIZE") == "1",
-            "parallel": parallel_enabled(),
-            "background_flush": os.environ.get("REPRO_BG_FLUSH") == "1",
+            "sanitize": sanitizer.enabled(),
+            "background_flush": resolve_background(self.client.server.config.lsm),
         }
         return RestResponse(200, stats)
 

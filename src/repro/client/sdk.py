@@ -4,6 +4,9 @@ Client-side observability: each query verb opens a root span
 (``sdk.search``, ``client.search``) so a single SDK call yields a
 retrievable trace tree spanning client -> server/cluster -> readers ->
 index search -> storage reads (see docs/INTERNALS.md §12).
+
+Every verb runs on the caller's thread; a client shared by several
+threads serves their requests side by side, one thread each.
 """
 
 from __future__ import annotations
@@ -134,10 +137,9 @@ class MilvusClient:
     ):
         """Vector query (optionally filtered); returns per-query hit lists.
 
-        ``params`` ride through to :meth:`Collection.search` — index
-        knobs (``nprobe``, ``ef``) plus the intra-query parallelism
-        knobs ``parallel=`` / ``pool_size=`` (see :mod:`repro.exec`;
-        parallel results are bit-identical to serial).
+        ``params`` ride through to :meth:`Collection.search` as index
+        knobs (``nprobe``, ``ef``); an argument of the engine below
+        (``row_filter``, ``brute_force``, ...) is refused by name.
 
         With ``explain=True`` the return value is instead a dict with
         ``"hits"`` (the same per-query lists), ``"plan"`` (the planner
@@ -241,9 +243,8 @@ class ClusterClient:
         """Fan-out query; returns the cluster's ClusterSearchResult
         (including ``trace_id`` when tracing is on).
 
-        ``params`` ride through to :meth:`MilvusCluster.search`,
-        including ``parallel=`` / ``pool_size=`` / ``node_timeout=``
-        for pooled reader fan-out (see :mod:`repro.exec`).
+        ``params`` ride through to :meth:`MilvusCluster.search`
+        (``auto_refresh``, ``explain``, and the readers' index knobs).
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         with get_obs().tracer.span("client.search", nq=len(queries), k=k):

@@ -17,6 +17,11 @@ Filtered searches are always planned: the collection's calibrated
 :class:`~repro.filtering.cost.AdaptivePlanner` (strategy D of
 Sec. 4.1) picks strategy and knobs per request from the filter's
 selectivity and feeds the executed counters back.
+
+A search runs on its caller's thread from end to end: segment scans go
+one after another (or into one collector), and concurrency comes from
+concurrent callers, never from a pool inside one request
+(docs/INTERNALS.md §13).
 """
 
 from __future__ import annotations
@@ -54,6 +59,10 @@ AttributeFilter = Tuple[str, float, float]
 #: footnote 5), and where the multi-vector merge stops widening its k'.
 #: What a request can make the engine allocate is ``nq`` times it.
 MAX_TOPK = 16384
+
+#: what :meth:`LSMManager.search` takes as its own arguments, or tells
+#: an index itself — never a knob a caller's search params may name.
+_ENGINE_ARGUMENTS = ("brute_force", "row_filter", "hidden", "collector")
 
 
 class Collection:
@@ -176,17 +185,15 @@ class Collection:
         k: int,
         filter: Optional[AttributeFilter] = None,
         snapshot: Optional[Snapshot] = None,
-        parallel: Optional[bool] = None,
-        pool_size: Optional[int] = None,
         explain: bool = False,
         **search_params,
     ) -> SearchResult:
         """Vector query, optionally with an attribute range filter.
 
-        ``parallel`` / ``pool_size`` control intra-query parallelism:
-        segment scans fan out over the shared worker pool (see
-        :mod:`repro.exec`); ``None`` defers to ``REPRO_PARALLEL`` /
-        ``REPRO_POOL_SIZE``.  Results are bit-identical either way.
+        ``search_params`` are index knobs (``nprobe``, ``ef``, ...);
+        the arguments of the layers below are refused by name (see
+        :meth:`_check_search`).  The request runs on the calling
+        thread (see :mod:`repro.exec`).
 
         ``explain=True`` returns an :class:`ExplainedResult` instead:
         the same results plus the planner dump
@@ -211,7 +218,7 @@ class Collection:
           ``("color", "in", ["red", "blue"])``, served from the
           inverted-list / bitmap categorical indexes.
         """
-        queries, k = self._check_search(field, queries, k, snapshot)
+        queries, k = self._check_search(field, queries, k, snapshot, search_params)
         obs = get_obs()
         # explain always gets its own profile; otherwise profile every
         # top-level search when observability is on (nested searches —
@@ -234,15 +241,14 @@ class Collection:
             )
             with stage:
                 result = self._search_impl(
-                    field, queries, k, filter, snapshot,
-                    parallel=parallel, pool_size=pool_size, **search_params
+                    field, queries, k, filter, snapshot, **search_params
                 )
             elapsed = time.perf_counter() - started
         if profile is not None:
             obs.profiler.record(span.trace_id, profile)
             # Exact usage accounting: the profile's integer counters are
-            # deterministic (serial == pooled), so per-collection usage
-            # equals the sum of the recorded query profiles.
+            # deterministic, so per-collection usage equals the sum of
+            # the recorded query profiles.
             obs.usage.record_query(
                 self.schema.name, elapsed, profile.total_counters())
         elif top_level:
@@ -256,22 +262,28 @@ class Collection:
         if explain:
             plan = explain_search(
                 self, field, queries=queries, k=k, filter=filter,
-                parallel=parallel, pool_size=pool_size, profile=profile,
-                **search_params
+                profile=profile, **search_params
             )
             return ExplainedResult(result=result, plan=plan, profile=profile)
         return result
 
-    def _check_search(self, field, queries, k, snapshot) -> Tuple[np.ndarray, int]:
+    def _check_search(
+        self, field, queries, k, snapshot, search_params
+    ) -> Tuple[np.ndarray, int]:
         """Refuse a search that cannot be served, naming the argument.
 
         The one validation boundary of the read path — the SDK and the
         REST router both arrive here — so nothing below it sees an
-        unknown field, a ``k`` it cannot allocate for, or queries of
-        the wrong shape or with NaN/infinite entries (which would
-        otherwise come back as an empty ``200``).  Returns the queries
-        as an ``(nq, dim)`` float32 matrix and ``k`` as an ``int``.
+        unknown field, a ``k`` it cannot allocate for, queries of the
+        wrong shape or with NaN/infinite entries (which would otherwise
+        come back as an empty ``200``), or a search param that is an
+        argument of the engine rather than an index knob.  Returns the
+        queries as an ``(nq, dim)`` float32 matrix and ``k`` as an
+        ``int``.
         """
+        for name in _ENGINE_ARGUMENTS:
+            if name in search_params:
+                raise InvalidQueryError(f"unknown search param {name!r}")
         dim = self.schema.vector_field(field).dim
         try:
             k = operator.index(k)
@@ -302,14 +314,11 @@ class Collection:
         k: int,
         filter: Optional[AttributeFilter],
         snapshot: Optional[Snapshot],
-        parallel: Optional[bool] = None,
-        pool_size: Optional[int] = None,
         **search_params,
     ) -> SearchResult:
         if filter is None:
             return self._lsm.search(
-                field, queries, k, snapshot=snapshot,
-                parallel=parallel, pool_size=pool_size, **search_params
+                field, queries, k, snapshot=snapshot, **search_params
             )
         owned = snapshot is None
         snap = self._lsm.snapshot() if owned else snapshot
@@ -321,8 +330,7 @@ class Collection:
                 metric = get_metric(self.schema.vector_field(field).metric)
                 return SearchResult.empty(len(queries), k, metric)
             return self._adaptive_filtered_search(
-                field, queries, k, filter, admissible, snap,
-                parallel=parallel, pool_size=pool_size, **search_params
+                field, queries, k, filter, admissible, snap, **search_params
             )
         finally:
             if owned:
@@ -393,8 +401,6 @@ class Collection:
         filter: AttributeFilter,
         admissible: np.ndarray,
         snap: Snapshot,
-        parallel: Optional[bool] = None,
-        pool_size: Optional[int] = None,
         **search_params,
     ) -> SearchResult:
         """Plan (strategy + knobs) from calibrated costs, execute, feed back."""
@@ -418,8 +424,7 @@ class Collection:
                 planner, plan, filter, len(admissible), nq))
         with measurement_stage("adaptive.exec", strategy=plan.strategy) as stage:
             result = self._execute_plan(
-                field, queries, k, admissible, snap, plan, knobs,
-                index_type, parallel, pool_size,
+                field, queries, k, admissible, snap, plan, knobs, index_type,
             )
         # In-memory only: taking an LSM lock here would queue every
         # filtered read behind flushes and merges.  Collection.flush()
@@ -428,20 +433,18 @@ class Collection:
         return result
 
     def _execute_plan(
-        self, field, queries, k, admissible, snap, plan, knobs,
-        index_type, parallel, pool_size,
+        self, field, queries, k, admissible, snap, plan, knobs, index_type,
     ) -> SearchResult:
         if plan.strategy == "A" or not index_type:
             # Attribute-first exact scan: brute force over admissible
             # rows only (recall 1 within the filter).
             return self._lsm.search(
                 field, queries, k, snapshot=snap, row_filter=admissible,
-                brute_force=True, parallel=parallel, pool_size=pool_size,
+                brute_force=True
             )
         if plan.strategy == "B":
             return self._lsm.search(
-                field, queries, k, snapshot=snap, row_filter=admissible,
-                parallel=parallel, pool_size=pool_size, **knobs
+                field, queries, k, snapshot=snap, row_filter=admissible, **knobs
             )
         # Strategy C: one widened unfiltered search, post-filtered
         # against the admissible set; fall back to pushdown if the
@@ -449,10 +452,7 @@ class Collection:
         # come back short when k admissible rows exist.
         p = max(len(admissible) / plan.n, 1e-9)
         k_eff = min(max(int(np.ceil(plan.theta * k / p)), k), plan.n)
-        raw = self._lsm.search(
-            field, queries, k_eff, snapshot=snap,
-            parallel=parallel, pool_size=pool_size, **knobs
-        )
+        raw = self._lsm.search(field, queries, k_eff, snapshot=snap, **knobs)
         metric = get_metric(self.schema.vector_field(field).metric)
         out = SearchResult.empty(len(queries), k, metric)
         want = min(k, len(admissible))
@@ -475,8 +475,7 @@ class Collection:
             node.count("candidates_pruned", pruned)
         if short:
             return self._lsm.search(
-                field, queries, k, snapshot=snap, row_filter=admissible,
-                parallel=parallel, pool_size=pool_size, **knobs
+                field, queries, k, snapshot=snap, row_filter=admissible, **knobs
             )
         return out
 

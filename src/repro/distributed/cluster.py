@@ -3,8 +3,8 @@
 Queries fan out to every reader (each owns one shard) and merge.  Two
 timings are reported:
 
-* wall-clock — honest in-process measurement (nodes run serially in
-  one Python process);
+* wall-clock — honest in-process measurement (nodes run one after
+  another on the request's thread, in one Python process);
 * simulated parallel seconds — the max of per-node busy time for the
   batch, i.e. what an actual deployment with one node per machine
   would take.  Fig. 10b plots throughput from this value, which is
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from repro.core.errors import NodeNotFoundError, NoLiveReadersError
 from repro.distributed.coordinator import Coordinator
 from repro.distributed.node import ReaderNode, WriterNode
-from repro.exec import ExecTimeoutError, QueryExecutor
+from repro.exec import QueryExecutor
 from repro.index.base import SearchResult
 from repro.metrics import get_metric
 from repro.obs import get_obs
@@ -183,9 +184,6 @@ class MilvusCluster:
         queries: np.ndarray,
         k: int,
         auto_refresh: bool = False,
-        parallel: Optional[bool] = None,
-        pool_size: Optional[int] = None,
-        node_timeout: Optional[float] = None,
         explain: bool = False,
         **search_params,
     ) -> ClusterSearchResult:
@@ -212,13 +210,8 @@ class MilvusCluster:
         via :meth:`ReaderNode.ensure_index` and reported separately as
         ``index_build_seconds``.
 
-        With ``parallel`` on (or ``REPRO_PARALLEL=1``) the fan-out runs
-        readers concurrently on the shared worker pool (see
-        :mod:`repro.exec`); per-reader results come back in reader
-        order, so the merged result is bit-identical to the serial
-        fan-out, and the degraded/missing-shards semantics above are
-        unchanged (a task that raises or exceeds ``node_timeout``
-        seconds just marks its shard missing).
+        Readers are asked one after another on the calling thread, in
+        reader order (see :mod:`repro.exec`).
         """
         obs = get_obs()
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
@@ -246,40 +239,27 @@ class MilvusCluster:
             index_build_seconds = 0.0
             started = time.perf_counter()
 
-            def serve(reader: ReaderNode, stage):
-                # Each task returns (build_seconds, partial, node_seconds);
+            def serve(reader: ReaderNode):
+                # Each task returns (build_seconds, result, node_seconds);
                 # the timed window sits inside the fan-out wall window,
-                # so max(per_node) <= wall holds in both modes.  The
-                # refresh runs inside the task so a shared-storage read
-                # failure degrades this shard instead of failing the
-                # whole query.
-                with stage:
+                # so max(per_node) <= wall holds.  The refresh runs
+                # inside the task so a shared-storage read failure
+                # degrades this shard instead of failing the whole query.
+                with profile_stage("shard.search", node=reader.node_id):
                     if auto_refresh and reader.refresh():
                         reader.build_index()
                     build = reader.ensure_index()
                     node_started = time.perf_counter()
-                    partial = reader.search(queries, k, **search_params)
-                    return build, partial, time.perf_counter() - node_started
+                    shard = reader.search(queries, k, **search_params)
+                    return build, shard, time.perf_counter() - node_started
 
-            executor = QueryExecutor(
-                parallel=parallel, pool_size=pool_size, timeout=node_timeout
-            )
-            settled = executor.map_settled(
-                # Per-shard stages are pre-created here, in submission
-                # order on the coordinating thread (default args bind at
-                # list-build time), and entered inside the worker — see
-                # repro.obs.profile on fan-out determinism.
-                [
-                    lambda r=reader, stage=pstage.stage(
-                        "shard.search", node=reader.node_id
-                    ): serve(r, stage)
-                    for reader in live
-                ],
-                label="reader.search",
+            tasks = [partial(serve, reader) for reader in live]
+            settled = QueryExecutor().map_settled(
+                tasks,
                 # Died between the liveness check and its turn in the
-                # fan-out (or its shared-storage read failed, or it ran
-                # past node_timeout): degrade, don't raise.
-                catch=(RuntimeError, IOError, ExecTimeoutError),
+                # fan-out (or its shared-storage read failed): degrade,
+                # don't raise.
+                catch=(RuntimeError, IOError),
             )
             partials = []
             per_node: Dict[str, float] = {}
@@ -287,9 +267,9 @@ class MilvusCluster:
                 if error is not None:
                     missing.append(reader.node_id)
                     continue
-                build, partial, node_seconds = value
+                build, shard, node_seconds = value
                 index_build_seconds += build
-                partials.append(partial)
+                partials.append(shard)
                 per_node[reader.node_id] = node_seconds
             if not partials:
                 raise NoLiveReadersError(

@@ -99,9 +99,9 @@ class ReaderNode:
     cumulative deltas double-count under concurrent searches).
 
     The serving counters are guarded by ``_stats_lock`` (leaf role
-    ``"reader-stats"``): with pooled fan-out, two concurrent cluster
-    searches can serve from the same reader on different worker
-    threads, and unguarded ``+=`` on a float drops updates.
+    ``"reader-stats"``): two cluster searches issued from different
+    client threads can serve from the same reader at once, and
+    unguarded ``+=`` on a float drops updates.
     """
 
     #: lock-discipline declaration consumed by tools/reprolint.

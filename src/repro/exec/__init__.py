@@ -1,55 +1,25 @@
 """repro.exec — the shared query-execution layer.
 
 The paper's query engine gets its throughput from multi-threaded,
-cache-aware execution (Sec. 3.2.1): every working thread scans its
-share of the data into a bounded per-(query, thread) heap and the
-heaps are merged at the end.  This package is that execution substrate
-for the whole read path:
+cache-aware execution (Sec. 3.2.1).  Here the threads live inside the
+kernels: every GEMM in :mod:`repro.metrics.dense` runs on numpy's
+BLAS, which when threaded (OpenBLAS is by default) already spreads
+each call over the machine's cores, so one request is served by one
+Python thread (docs/INTERNALS.md §13 has the measurements that
+retired the intra-query worker pool).  This package
+is what the read path shares on top of that:
 
-* :class:`~repro.exec.pool.WorkerPool` — one process-wide, lazily
-  created pool of daemon threads with a bounded task queue, per-task
-  timeout, and a graceful serial fallback (``pool_size=1`` or
-  ``REPRO_PARALLEL=0``).  Thread-based on purpose: the hot kernels are
-  numpy/BLAS calls (GEMM, ``argpartition``) that release the GIL.
-* :class:`~repro.exec.executor.QueryExecutor` — fans independent
-  scan tasks (per-segment in LSM search, per-reader in the cluster
-  fan-out) over the pool **in submission order**, so parallel results
-  are bit-identical to serial ones.
+* :class:`~repro.exec.executor.QueryExecutor` — runs independent scan
+  tasks (per-segment in LSM search, per-reader in the cluster fan-out)
+  in order on the calling thread, with per-slot error capture for the
+  cluster's degraded reads.
 * :class:`~repro.exec.normcache.NormCache` — per-owner cache of
   data-side kernel precomputations (``|x|^2`` norms for L2,
   unit-normalized rows for cosine), so repeated brute-force / IVF
   residual scans cost one GEMM plus cached adds.
-
-Knobs (see README):
-
-* ``REPRO_PARALLEL`` — ``1`` turns pooled execution on by default,
-  ``0`` forces serial everywhere (overriding per-call ``parallel=``).
-* ``REPRO_POOL_SIZE`` — worker count of the shared pool.
-* per-call ``parallel=`` / ``pool_size=`` on ``Collection.search``,
-  ``LSMManager.search``, ``MilvusCluster.search`` and the SDK/REST
-  ``params``.
 """
 
-from repro.exec.pool import (
-    ExecTimeoutError,
-    WorkerPool,
-    default_pool_size,
-    get_pool,
-    in_worker_thread,
-    parallel_enabled,
-    shutdown_pool,
-)
 from repro.exec.executor import QueryExecutor
 from repro.exec.normcache import NormCache
 
-__all__ = [
-    "ExecTimeoutError",
-    "WorkerPool",
-    "QueryExecutor",
-    "NormCache",
-    "default_pool_size",
-    "get_pool",
-    "in_worker_thread",
-    "parallel_enabled",
-    "shutdown_pool",
-]
+__all__ = ["QueryExecutor", "NormCache"]

@@ -181,8 +181,6 @@ def explain_search(
     k: int = 10,
     filter=None,
     scheduler=None,
-    parallel: Optional[bool] = None,
-    pool_size: Optional[int] = None,
     profile: Optional[QueryProfile] = None,
     **search_params,
 ) -> Dict[str, object]:
@@ -192,11 +190,8 @@ def explain_search(
     its recorded filter plan is reported as is.  Without it the filter
     is resolved and planned here, once.
     """
-    from repro.exec import QueryExecutor
-
     spec = collection.schema.vector_field(field)
     nq = len(np.atleast_2d(np.asarray(queries))) if queries is not None else 1
-    executor = QueryExecutor(parallel=parallel, pool_size=pool_size)
     snap = collection._lsm.snapshot()
     try:
         segments = [
@@ -225,8 +220,6 @@ def explain_search(
             "k": int(k),
             "nq": nq,
             "params": {key: value for key, value in search_params.items()},
-            "parallel": {"enabled": executor.parallel,
-                         "pool_size": executor.pool_size},
             "segments": segment_entries,
             "segments_selected": sum(e["selected"] for e in segment_entries),
             "segments_skipped": sum(not e["selected"] for e in segment_entries),

@@ -14,18 +14,13 @@ the innermost active node lives in a :mod:`contextvars` variable, and
 instrumented sites call :func:`profile_count` / :func:`profile_stage`
 without any plumbing through signatures.  When no profile is active
 each site costs one call that reads the context variable and returns —
-the same "one no-op call" budget as the null tracer — so the
-pooled-vs-serial bit-identity guarantees from ``tests/test_exec.py``
-are untouched.
+the same "one no-op call" budget as the null tracer.
 
-Fan-out determinism: a coordinator that fans work over the pool
-(:meth:`LSMManager.search`, :meth:`MilvusCluster.search`) pre-creates
-one child stage per task *in submission order* on its own thread, and
-each task enters its pre-created stage inside the worker (the pool
-propagates the ambient context via ``contextvars.copy_context``).
-Child order is therefore fixed by submission order, no two threads
-ever touch the same node, and serial and pooled runs of one query
-yield identical counter totals.
+One query runs on one thread, so a fan-out
+(:meth:`LSMManager.search`, :meth:`MilvusCluster.search`) needs no
+ceremony: each scan opens its own ``segment.search`` /
+``shard.search`` stage as it runs, child order is scan order, and no
+two threads ever touch the same node.
 
 Finished profiles are retained by a bounded :class:`Profiler` store
 keyed by trace id (LRU, like the tracer's trace store) and served by
@@ -107,11 +102,8 @@ class ProfileNode:
     def stage(self, name: str, **attrs) -> "ProfileNode":
         """Create (but do not enter) a child stage.
 
-        Fan-out coordinators call this once per task in submission
-        order, then hand each task its own stage to enter inside the
-        worker — that is what keeps pooled counter trees identical to
-        serial ones.  Serial code normally prefers the ambient
-        :func:`profile_stage` instead.
+        Instrumented code normally prefers the ambient
+        :func:`profile_stage`, which calls this on the active node.
         """
         if len(self.children) >= MAX_CHILDREN_PER_NODE:
             self.dropped_children += 1

@@ -2,11 +2,11 @@
 
 The profiling layer (PR 5) gives every query an *exact* integer work
 profile (``distance_evals``, ``rows_scanned``, ``bytes_read``,
-``buckets_probed`` — deterministic, serial == pooled).  The usage
-meter aggregates those per collection, together with query/insert
-counts and wall seconds, so ``GET /usage`` answers the multi-tenant
-question the ROADMAP's front door needs: *which collection is doing
-how much work?*  Because the inputs are the exact profile counters,
+``buckets_probed`` — deterministic).  The usage meter aggregates
+those per collection, together with query/insert counts and wall
+seconds, so ``GET /usage`` answers the multi-tenant question the
+ROADMAP's front door needs: *which collection is doing how much
+work?*  Because the inputs are the exact profile counters,
 ``usage[name]["counters"]["distance_evals"]`` equals the sum over
 that collection's query profiles to the last integer.
 

@@ -54,6 +54,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,10 +77,6 @@ from repro.storage.segment import Segment, VectorSpecs
 from repro.storage.wal import WriteAheadLog
 from repro.utils import TopKCollector, merge_topk_batch
 from repro.utils.sanitizer import assert_guarded, maybe_sanitize
-
-
-def _env_background_default() -> bool:
-    return os.environ.get("REPRO_BG_FLUSH", "0").lower() not in ("", "0", "false")
 
 
 @dataclass
@@ -107,6 +104,14 @@ class LSMConfig:
     tombstone_purge_ratio: float = 0.25
 
 
+def resolve_background(config: LSMConfig) -> bool:
+    """Whether an engine built from ``config`` flushes in the background:
+    ``config.background``, or ``REPRO_BG_FLUSH`` when that is None."""
+    if config.background is not None:
+        return bool(config.background)
+    return os.environ.get("REPRO_BG_FLUSH", "0").lower() not in ("", "0", "false")
+
+
 def collects_scans(nq: int, nprobe: int, nlist: int, n_scans: int) -> bool:
     """Whether a request over ``n_scans`` visible scans scores them all
     into one :class:`~repro.utils.topk.TopKCollector` instead of
@@ -117,7 +122,7 @@ def collects_scans(nq: int, nprobe: int, nlist: int, n_scans: int) -> bool:
     no buckets each goes down its own lists anyway, and then the lists
     of every segment may as well be one query's lists — one threshold,
     one sort.  Once queries share buckets, each index's bucket-major
-    block work (and the pool, which overlaps it) is worth a merge.  The
+    block work is worth a merge.  The
     sweep in EXPERIMENTS.md ("Many segments, one collector") found the
     crossover where that rule already puts it, so there is no second
     constant.  One scan has nothing to share a collector with.
@@ -197,11 +202,7 @@ class LSMManager:
         self.categorical_names = tuple(categorical_names)
         self.categorical_kinds = dict(categorical_kinds or {})
         self.config = config or LSMConfig()
-        self.background = (
-            _env_background_default()
-            if self.config.background is None
-            else bool(self.config.background)
-        )
+        self.background = resolve_background(self.config)
         self.fs = fs if fs is not None else InMemoryObjectStore()
         self.wal = WriteAheadLog(self.fs) if self.config.enable_wal else None
         self.manifest = Manifest(
@@ -1028,8 +1029,6 @@ class LSMManager:
         snapshot: Optional[Snapshot] = None,
         row_filter: Optional[np.ndarray] = None,
         brute_force: bool = False,
-        parallel: Optional[bool] = None,
-        pool_size: Optional[int] = None,
         **search_params,
     ) -> SearchResult:
         """Top-k over everything visible in ``snapshot``.
@@ -1045,11 +1044,9 @@ class LSMManager:
         :class:`~repro.utils.topk.TopKCollector` on the calling thread:
         one threshold and one sort per query over everything probed,
         tombstoned rows masked where they lie.  Otherwise each scan
-        returns its own top-k and those are merged; with ``parallel``
-        on (or ``REPRO_PARALLEL=1``) these scans fan out over the
-        shared worker pool, results are returned in scan order either
-        way, so parallel output is bit-identical to serial (see
-        ``repro.exec``).  ``parallel`` never picks between the two.
+        returns its own top-k, in scan order, and those are merged.
+        Either way the scans run one after another on the calling
+        thread (see ``repro.exec``).
         """
         for name in ("hidden", "collector"):
             if name in search_params:  # what this layer tells an index
@@ -1074,17 +1071,17 @@ class LSMManager:
                 segments=n_scans,
             ), profile_stage(
                 "lsm.search", field=field, segments=n_scans,
-            ) as pstage:
+            ):
                 started = time.perf_counter()
 
-                def scan(seg_id: int, stage) -> SearchResult:
+                def scan(seg_id: int) -> SearchResult:
                     # Pin inside the task so the segment stays resident
                     # for exactly the duration of its own scan.
                     segment = self.bufferpool.get(seg_id, pin=True)
                     try:
-                        with stage, obs.tracer.span(
+                        with profile_stage(
                             "segment.search", segment=seg_id
-                        ):
+                        ), obs.tracer.span("segment.search", segment=seg_id):
                             return segment.search(
                                 field, queries, k,
                                 exclude=exclude,
@@ -1096,13 +1093,13 @@ class LSMManager:
                     finally:
                         self.bufferpool.unpin(seg_id)
 
-                def scan_frozen(fid: int, stage) -> SearchResult:
+                def scan_frozen(fid: int) -> SearchResult:
                     # No pin: the snapshot's refcount keeps the frozen
                     # entry (and therefore the view) alive.
                     view = self._frozen_view(fid)
-                    with stage, obs.tracer.span(
-                        "segment.search", segment=view.segment_id
-                    ):
+                    with profile_stage(
+                        "segment.search", segment=-(fid + 1)
+                    ), obs.tracer.span("segment.search", segment=view.segment_id):
                         return view.search(
                             field, queries, k,
                             exclude=exclude,
@@ -1112,22 +1109,8 @@ class LSMManager:
                             **search_params,
                         )
 
-                # Per-segment profile stages are pre-created here, in
-                # submission order, and entered inside each task: child
-                # order and counter placement are then identical for
-                # serial and pooled execution (see repro.obs.profile).
-                tasks = [
-                    lambda seg_id=s, stage=pstage.stage(
-                        "segment.search", segment=s
-                    ): scan(seg_id, stage)
-                    for s in snap.segment_ids
-                ]
-                tasks.extend(
-                    lambda fid=f, stage=pstage.stage(
-                        "segment.search", segment=-(f + 1)
-                    ): scan_frozen(fid, stage)
-                    for f in snap.frozen_ids
-                )
+                tasks = [partial(scan, s) for s in snap.segment_ids]
+                tasks.extend(partial(scan_frozen, f) for f in snap.frozen_ids)
                 if len(tasks) == 1:
                     # One scan has nothing to fan out or to merge with:
                     # its (nq, k) result, best-first and padded, is
@@ -1139,8 +1122,7 @@ class LSMManager:
                         task()
                     ids, scores = collector.close()
                 else:
-                    executor = QueryExecutor(parallel=parallel, pool_size=pool_size)
-                    partials = executor.map_ordered(tasks, label="segment.search")
+                    partials = QueryExecutor().map_ordered(tasks)
                     ids, scores = merge_topk_batch(
                         [(p.ids, p.scores) for p in partials],
                         k,

@@ -330,26 +330,25 @@ class TestOneScanSearch:
                        {"price": np.zeros(100)})
             lsm.flush()
         rows = np.arange(0, 200, 5)  # 40 queries x 8 probes > 2 x 128 lists
-        for parallel in (False, True):
-            del calls[:], scans[:]
-            got = lsm.search("emb", data[rows], 3, parallel=parallel)
-            assert calls == ["fan-out", "merge"] and len(scans) == 2
-            assert all(partial is not None for partial in scans)
-            assert got.ids[:, 0].tolist() == rows.tolist()
-            assert got.scores.dtype == np.float64
+        del calls[:], scans[:]
+        got = lsm.search("emb", data[rows], 3)
+        assert calls == ["fan-out", "merge"] and len(scans) == 2
+        assert all(partial is not None for partial in scans)
+        assert got.ids[:, 0].tolist() == rows.tolist()
+        assert got.scores.dtype == np.float64
 
-            del calls[:], scans[:]
-            got = lsm.search("emb", data[[5, 150]], 3, parallel=parallel)
-            assert calls == ["collect"] and scans == [None, None]
-            assert got.ids[:, 0].tolist() == [5, 150]
-            assert got.scores.dtype == np.float64
+        del calls[:], scans[:]
+        got = lsm.search("emb", data[[5, 150]], 3)
+        assert calls == ["collect"] and scans == [None, None]
+        assert got.ids[:, 0].tolist() == [5, 150]
+        assert got.scores.dtype == np.float64
         # ... and one scan does neither
         one = make_lsm()
         one.insert(np.arange(100), {"emb": data[:100]}, {"price": np.zeros(100)})
         one.flush()
         del calls[:]
-        one.search("emb", data[:2], 3, parallel=False)
-        one.search("emb", data[:100:2], 3, parallel=False)
+        one.search("emb", data[:2], 3)
+        one.search("emb", data[:100:2], 3)
         assert calls == []
 
     def test_an_empty_collection_still_answers(self):
@@ -388,7 +387,7 @@ class TestTombstonesStayLocal:
         for nq in (3, 60):  # one collector; fan-out and merge
             asked.clear()
             rows = np.r_[5, 200, 450, np.arange(300, 300 + nq - 3)]
-            got = lsm.search("emb", data[rows], 7, nprobe=8, parallel=False)
+            got = lsm.search("emb", data[rows], 7, nprobe=8)
             assert asked["second"] == (7, None)
             k, hidden = asked["first"]
             assert k == 7 and hidden.tolist() == dead.tolist()
@@ -522,7 +521,7 @@ class TestCollectorRule:
     def test_lsm_asks_it_about_the_request(self, data, monkeypatch):
         """nq from the queries, nprobe from the caller (or the IVF
         default), nlist from the collection's index configuration, the
-        scans from the snapshot — and nothing else, ``parallel`` least."""
+        scans from the snapshot — and nothing else."""
         from repro.index.ivf_common import DEFAULT_NLIST, DEFAULT_NPROBE
         from repro.storage import lsm as lsm_module
 
@@ -538,8 +537,8 @@ class TestCollectorRule:
                            {"price": np.zeros(100)})
                 lsm.flush()
             del asked[:]
-            lsm.search("emb", data[:5], 3, parallel=True)
-            lsm.search("emb", data[:2], 3, nprobe=4, parallel=False)
+            lsm.search("emb", data[:5], 3)
+            lsm.search("emb", data[:2], 3, nprobe=4)
             assert asked == [(5, DEFAULT_NPROBE, nlist, 3), (2, 4, nlist, 3)]
 
     def test_the_collector_is_not_a_search_parameter(self, data):
@@ -729,8 +728,7 @@ class TestCollectorEqualsMerge:
                         monkeypatch.setattr(
                             lsm_module, "collects_scans", lambda *shape: collects)
                         answers[collects] = [
-                            lsm.search("emb", data[rows], k, snapshot=snap,
-                                       nprobe=8, parallel=False)
+                            lsm.search("emb", data[rows], k, snapshot=snap, nprobe=8)
                             for rows in ([5], [5, 250, 390, 420]) for k in (1, 10, 500)]
                 finally:
                     lsm.release(snap)
@@ -743,21 +741,6 @@ class TestCollectorEqualsMerge:
         finally:
             lsm.wait_for_background()
             lsm.close()
-
-    def test_parallel_is_serial_in_both_regimes(self, data):
-        lsm = make_lsm()
-        for lo in (0, 200, 400):
-            lsm.insert(np.arange(lo, lo + 200), {"emb": data[lo:lo + 200]},
-                       {"price": np.zeros(200)})
-            lsm.flush()
-        lsm.live_segments()[0].build_index("emb", "IVF_FLAT", nlist=8)
-        lsm.delete(np.arange(0, 600, 9))
-        lsm.flush()
-        for rows in (np.arange(2), np.arange(0, 600, 6)):  # 2 x 8 and 100 x 8 pairs
-            serial = lsm.search("emb", data[rows], 10, nprobe=8, parallel=False)
-            pooled = lsm.search("emb", data[rows], 10, nprobe=8, parallel=True, pool_size=3)
-            np.testing.assert_array_equal(serial.ids, pooled.ids)
-            np.testing.assert_array_equal(serial.scores, pooled.scores)
 
 
 class TestVisibleTombstones:

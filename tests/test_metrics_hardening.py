@@ -181,12 +181,9 @@ class TestConcurrentScrapes:
                 t.join()
         assert any(k.startswith("ops_total") for k in last)
 
-    def test_rest_metrics_well_formed_under_parallel_query_load(
-        self, obs_on, monkeypatch
-    ):
-        """Scrape GET /metrics while pooled cluster searches run —
-        the REPRO_PARALLEL=1 scenario from CI."""
-        monkeypatch.setenv("REPRO_PARALLEL", "1")
+    def test_rest_metrics_well_formed_under_parallel_query_load(self, obs_on):
+        """Scrape GET /metrics from two threads while two other client
+        threads issue cluster searches."""
         from repro.distributed import MilvusCluster
 
         data = sift_like(200, dim=8, seed=60)
@@ -202,34 +199,47 @@ class TestConcurrentScrapes:
         def query_load():
             try:
                 while not stop.is_set():
-                    cluster.search(queries, 3, parallel=True, pool_size=2)
+                    cluster.search(queries, 3)
             except Exception as exc:  # surfaced in the main thread
                 errors.append(exc)
 
-        writer = threading.Thread(target=query_load, daemon=True)
-        writer.start()
+        def scrape():
+            try:
+                last_total = 0.0
+                # scrape until a few searches have landed (bounded retries)
+                for __ in range(200):
+                    resp = router.handle("GET", "/metrics")
+                    assert resp.ok
+                    text = resp.body["text"]
+                    for line in text.splitlines():
+                        if line and not line.startswith("#"):
+                            assert SAMPLE_LINE.match(line), line
+                    samples = _parse_exposition(text)
+                    total = sum(
+                        v for k, v in samples.items()
+                        if k.startswith("cluster_searches_total")
+                    )
+                    assert total >= last_total
+                    last_total = total
+                    if last_total >= 6:
+                        return
+                    time.sleep(0.005)
+                raise AssertionError(f"only {last_total} searches seen")
+            except Exception as exc:  # AssertionError included
+                errors.append(exc)
+
+        searchers = [threading.Thread(target=query_load, daemon=True)
+                     for __ in range(2)]
+        scrapers = [threading.Thread(target=scrape, daemon=True)
+                    for __ in range(2)]
+        for thread in searchers + scrapers:
+            thread.start()
         try:
-            last_total = 0.0
-            # scrape until a few searches have landed (bounded retries)
-            for __ in range(200):
-                resp = router.handle("GET", "/metrics")
-                assert resp.ok
-                text = resp.body["text"]
-                for line in text.splitlines():
-                    if line and not line.startswith("#"):
-                        assert SAMPLE_LINE.match(line), line
-                samples = _parse_exposition(text)
-                total = sum(
-                    v for k, v in samples.items()
-                    if k.startswith("cluster_searches_total")
-                )
-                assert total >= last_total
-                last_total = total
-                if last_total >= 3:
-                    break
-                time.sleep(0.005)
+            for thread in scrapers:
+                thread.join(timeout=60)
         finally:
             stop.set()
-            writer.join()
+        for thread in searchers:
+            thread.join(timeout=60)
+        assert not any(t.is_alive() for t in searchers + scrapers)
         assert not errors, errors
-        assert last_total > 0

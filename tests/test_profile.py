@@ -2,8 +2,8 @@
 
 Covers the :mod:`repro.obs.profile` primitives, the planner dump from
 :mod:`repro.obs.explain`, and the PR's determinism contract: work
-counters are exact integers, identical across two seeded runs and
-between serial and pooled execution (IVF_FLAT, HNSW, and a filtered
+counters are exact integers, identical across two seeded builds and
+across repeats of one query (every index type, and a filtered
 cluster fan-out).  Comparisons always *warm up first* — the very first
 query on a fresh engine populates the norm caches, so its
 ``normcache_misses`` differ from every later run by design.
@@ -211,28 +211,7 @@ class TestDeterminism:
         assert runs[0] == runs[1]
         assert all(isinstance(v, int) for v in runs[0].values())
 
-    def test_serial_matches_pooled_ivf_flat(self, prof_data):
-        data, prices, queries = prof_data
-        coll = build_collection(data, prices, nlist=8, seed=0)
-        _explain_counters(coll, queries, parallel=False)
-        _explain_counters(coll, queries, parallel=True, pool_size=4)
-        serial = _explain_counters(coll, queries, parallel=False)
-        pooled = _explain_counters(coll, queries, parallel=True, pool_size=4)
-        assert serial == pooled
-
-    def test_serial_matches_pooled_hnsw(self, prof_data):
-        data, prices, queries = prof_data
-        coll = build_collection(
-            data, prices, index_type="HNSW", M=8, ef_construction=32, seed=0
-        )
-        _explain_counters(coll, queries, parallel=False)
-        _explain_counters(coll, queries, parallel=True, pool_size=4)
-        serial = _explain_counters(coll, queries, parallel=False)
-        pooled = _explain_counters(coll, queries, parallel=True, pool_size=4)
-        assert serial == pooled
-        assert serial["heap_pushes"] > 0
-
-    def test_serial_matches_pooled_filtered_cluster(self):
+    def test_filtered_cluster_counters_repeat_exactly(self):
         data = sift_like(300, dim=16, n_clusters=8, seed=23)
         queries = random_queries(data, 3, seed=24)
         cluster = MilvusCluster(
@@ -243,19 +222,19 @@ class TestDeterminism:
         cluster.sync()
         row_filter = np.arange(0, len(data), 2, dtype=np.int64)
 
-        def run(**kw):
+        def run():
             res = cluster.search(
-                queries, 5, explain=True, row_filter=row_filter, **kw
+                queries, 5, explain=True, row_filter=row_filter
             )
             return res.result.ids, res.profile.total_counters()
 
-        run(parallel=False)
-        run(parallel=True, pool_size=4)
-        ids_s, serial = run(parallel=False)
-        ids_p, pooled = run(parallel=True, pool_size=4)
-        assert serial == pooled
-        assert serial["candidates_pruned"] > 0     # the filter did prune
-        np.testing.assert_array_equal(ids_s, ids_p)
+        run()                                      # warm the norm caches
+        ids_a, first = run()
+        ids_b, second = run()
+        assert first == second
+        assert first["candidates_pruned"] > 0      # the filter did prune
+        np.testing.assert_array_equal(ids_a, ids_b)
+        assert np.isin(ids_a[ids_a >= 0], row_filter).all()
 
     def test_cluster_profile_has_one_stage_per_shard(self):
         data = sift_like(120, dim=8, seed=25)

@@ -1,5 +1,7 @@
 """Server facade, SDK client, and REST router."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,14 @@ from repro.core import (
     CollectionExistsError,
     CollectionNotFoundError,
     CollectionSchema,
+    InvalidQueryError,
     MilvusLite,
+    ServerConfig,
     VectorField,
 )
 from repro.client import MilvusClient, RestRouter, connect
 from repro.datasets import sift_like
+from repro.storage import LSMConfig
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +244,116 @@ class TestSearchRequestValidation:
             with pytest.raises(MilvusError):
                 client.search("c", "v", queries, k)
         assert client.search("c", "v", np.zeros(4), np.int64(2))[0][0][0] in range(4)
+
+
+class TestSearchParamsAreKnobsOnly:
+    """``params`` carries index knobs; an argument of the SDK or of the
+    engine below it is refused by name, and nothing in it starts a
+    thread."""
+
+    @pytest.fixture()
+    def router(self):
+        router = RestRouter()
+        router.handle("POST", "/collections", {
+            "name": "two", "vector_fields": [{"name": "v", "dim": 8}],
+            "attribute_fields": ["price"],
+        })
+        rng = np.random.default_rng(3)
+        for lo in (0, 200):  # two flushed segments
+            router.handle("POST", "/collections/two/entities", {"data": {
+                "v": rng.random((200, 8)).tolist(),
+                "price": list(range(lo, lo + 200)),
+            }})
+            router.handle("POST", "/flush", {"collection": "two"})
+        assert router.client.describe_collection("two")["num_segments"] == 2
+        return router
+
+    @staticmethod
+    def search(router, params, nq=2, route="/collections/two/search"):
+        body = {"field": "v", "queries": np.eye(8)[np.arange(nq) % 8].tolist(),
+                "k": 3, "params": params}
+        if route == "/explain":
+            body["collection"] = "two"
+        return router.handle("POST", route, body)
+
+    def test_pool_params_start_no_threads(self, router):
+        """64 queries x 32 probes over two segments is the bucket-major
+        fan-out; whatever its params say, it runs on the request's own
+        thread and leaves no thread behind."""
+        before = threading.active_count()
+        resp = self.search(
+            router, {"parallel": True, "pool_size": 300, "nprobe": 32}, nq=64)
+        assert threading.active_count() <= before
+        assert resp.ok or "parallel" in resp.body["error"]
+
+    #: SDK and engine arguments, each with a value of the type the
+    #: layer that owns it takes.
+    ARGUMENTS = {
+        "brute_force": True,
+        "row_filter": [1, 2],
+        "hidden": [1, 2],
+        "explain": True,
+        "filter": {"attribute": "price", "low": 0, "high": 1},
+    }
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["flat", "indexed"])
+    @pytest.mark.parametrize("named", sorted(ARGUMENTS))
+    def test_arguments_are_not_knobs(self, router, indexed, named):
+        if indexed:
+            assert router.handle("POST", "/collections/two/index", {
+                "field": "v", "index_type": "IVF_FLAT", "params": {"nlist": 4}}).ok
+        for route in ("/collections/two/search", "/explain"):
+            resp = self.search(router, {named: self.ARGUMENTS[named]}, route=route)
+            assert resp.status == 400, (route, resp.body)
+            assert repr(named) in resp.body["error"], (route, resp.body)
+        assert self.search(router, {"nprobe": 2}).ok
+
+    def test_refused_before_a_snapshot_is_taken(self, monkeypatch):
+        client = connect()
+        client.create_collection("c", {"v": (4, "l2")})
+        client.insert("c", {"v": np.eye(4, dtype=np.float32)})
+        client.flush("c")
+        lsm = client.server.get_collection("c").lsm
+        monkeypatch.setattr(lsm, "snapshot", lambda: pytest.fail("snapshot taken"))
+        for name in ("brute_force", "row_filter"):
+            with pytest.raises(InvalidQueryError, match=name):
+                client.search("c", "v", np.zeros(4), 1, **{name: True})
+
+
+class TestStatsFlags:
+    """``GET /stats`` reports the switches in effect, however they
+    were turned on."""
+
+    def test_sanitize_enabled_in_process(self, monkeypatch):
+        from repro.utils import sanitizer
+
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        sanitizer.disable()
+        router = RestRouter()
+        assert router.handle("GET", "/stats").body["flags"]["sanitize"] is False
+        sanitizer.enable()
+        try:
+            assert router.handle("GET", "/stats").body["flags"]["sanitize"] is True
+        finally:
+            sanitizer.disable()
+
+    def test_background_flush_from_the_server_config(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BG_FLUSH", raising=False)
+        assert RestRouter().handle(
+            "GET", "/stats").body["flags"]["background_flush"] is False
+        server = MilvusLite(ServerConfig(lsm=LSMConfig(background=True)))
+        router = RestRouter(server)
+        assert router.handle("GET", "/stats").body["flags"]["background_flush"] is True
+        router.handle("POST", "/collections", {
+            "name": "c", "vector_fields": [{"name": "v", "dim": 4}]})
+        try:
+            stats = router.handle("GET", "/collections/c/stats").body
+            assert stats["background"] is True
+        finally:
+            server.get_collection("c").lsm.close()
+        monkeypatch.setenv("REPRO_BG_FLUSH", "1")
+        assert RestRouter().handle(
+            "GET", "/stats").body["flags"]["background_flush"] is True
 
 
 class TestFilteredSearchRecall:

@@ -5,8 +5,8 @@ Polls the REST observability routes (`/stats`, `/health`, `/jobs`,
 
 * query throughput (qps) and p50/p99 search latency, derived from the
   Prometheus exposition's `collection_search_seconds` histogram;
-* worker-pool pressure and background-job activity (running jobs with
-  phase + rows/bytes progress, named queue depths);
+* background-job activity (running jobs with phase + rows/bytes
+  progress, named queue depths);
 * the watchdog health rollup with per-component status;
 * top collections by accumulated work (`distance_evals` from the
   per-collection usage meter).
@@ -158,8 +158,6 @@ def collect(
         "qps": qps,
         "p50": histogram_quantile(samples, LATENCY_FAMILY, 0.50),
         "p99": histogram_quantile(samples, LATENCY_FAMILY, 0.99),
-        "pool_depth": _family_total(samples, "exec_queue_depth"),
-        "pool_active": _family_total(samples, "exec_active_workers"),
         "health": health,
         "jobs": jobs,
         "usage": usage,
@@ -192,7 +190,7 @@ def render(snapshot: Dict[str, object], width: int = 80) -> List[str]:
     status = str(health.get("status", "unknown"))
     flags = snapshot.get("flags", {})
     flag_text = " ".join(
-        name for name in ("observability", "parallel", "background_flush", "sanitize")
+        name for name in ("observability", "background_flush", "sanitize")
         if flags.get(name)
     ) or "none"
     lines = [
@@ -205,9 +203,7 @@ def render(snapshot: Dict[str, object], width: int = 80) -> List[str]:
         (
             f"queries  {float(snapshot.get('qps', 0.0)):8.1f} qps   "
             f"p50 {_fmt_seconds(float(snapshot.get('p50', 0.0)))}  "
-            f"p99 {_fmt_seconds(float(snapshot.get('p99', 0.0)))}  "
-            f"pool depth {int(snapshot.get('pool_depth', 0)):3d} "
-            f"active {int(snapshot.get('pool_active', 0)):2d}"
+            f"p99 {_fmt_seconds(float(snapshot.get('p99', 0.0)))}"
         ),
         f"health   {status.upper()}",
     ]
