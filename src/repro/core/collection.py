@@ -51,6 +51,7 @@ from repro.storage.filesystem import FileSystem
 from repro.storage.manifest import Snapshot
 from repro.utils import sorted_membership
 from repro.utils.sanitizer import maybe_sanitize
+from repro.utils.validation import ensure_int_ids
 
 #: an attribute range filter: (attribute_name, low, high), inclusive.
 AttributeFilter = Tuple[str, float, float]
@@ -63,6 +64,12 @@ MAX_TOPK = 16384
 #: what :meth:`LSMManager.search` takes as its own arguments, or tells
 #: an index itself — never a knob a caller's search params may name.
 _ENGINE_ARGUMENTS = ("brute_force", "row_filter", "hidden", "collector")
+
+
+def _ensure_finite(values: np.ndarray, label: str) -> None:
+    """Refuse NaN/inf: the WAL would replay them on every recovery."""
+    if not np.isfinite(values).all():
+        raise SchemaError(f"{label}: values must be finite, got NaN or inf")
 
 
 class Collection:
@@ -117,7 +124,7 @@ class Collection:
 
     def delete(self, row_ids: Sequence[int]) -> None:
         """Delete entities by row id (out-of-place; visible after flush)."""
-        self._lsm.delete(np.asarray(row_ids, dtype=np.int64))
+        self._lsm.delete(ensure_int_ids(row_ids, "ids"))
 
     def update(self, row_ids: Sequence[int], data: Dict[str, np.ndarray]) -> np.ndarray:
         """Update = delete + insert (paper Sec. 2.3); returns new row ids."""
@@ -156,6 +163,7 @@ class Collection:
                 n = len(mat)
             elif len(mat) != n:
                 raise SchemaError("all fields must have the same number of rows")
+            _ensure_finite(mat, f"field {name!r}")
             vectors[name] = mat
         attributes = {}
         for name in attr_names:
@@ -164,6 +172,7 @@ class Collection:
                 raise SchemaError(
                     f"attribute {name!r}: {len(vals)} values for {n} entities"
                 )
+            _ensure_finite(vals, f"attribute {name!r}")
             attributes[name] = vals
         categoricals = {}
         for name in cat_names:

@@ -7,9 +7,10 @@ respawned from shared storage) are only testable if failures can be
 and executes a :class:`FaultPlan` — a small, seeded DSL of fault
 rules, each scoped by operation kind and path glob:
 
-* **torn writes** — persist only the first N bytes of the payload,
-  then (by default) raise :class:`SimulatedCrash`, modelling a crash
-  mid-write;
+* **torn writes and appends** — persist only the first N bytes of
+  the payload, then (by default) raise :class:`SimulatedCrash`,
+  modelling a crash mid-write; a torn append leaves the object's
+  earlier bytes plus that prefix;
 * **transient errors** — raise ``IOError`` (or any exception class)
   on the Nth matching op, for a bounded number of ops, *before* the
   op executes — the shape retries must survive;
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 #: operation kinds a rule may scope to ("*" matches all of them).
-OP_KINDS = ("write", "read", "delete", "listdir", "exists")
+OP_KINDS = ("write", "append", "read", "delete", "listdir", "exists")
 
 
 class SimulatedCrash(Exception):
@@ -151,11 +152,17 @@ class FaultPlan:
         return rule
 
     def torn_write(
-        self, glob: str, truncate_at: int, nth: int = 1, crash: bool = True
+        self, glob: str, truncate_at: int, nth: int = 1, crash: bool = True,
+        op: str = "write",
     ) -> FaultRule:
-        """Truncate the payload of the nth matching write at ``truncate_at``."""
+        """Truncate the payload of the nth matching ``op`` at ``truncate_at``.
+
+        ``op`` is ``"write"`` or ``"append"``.
+        """
+        if op not in ("write", "append"):
+            raise ValueError(f"only writes and appends tear, not {op!r}")
         return self._add(FaultRule(
-            kind="torn-write", op="write", glob=glob, nth=nth,
+            kind="torn-write", op=op, glob=glob, nth=nth,
             truncate_at=truncate_at, crash=crash,
         ))
 
@@ -293,22 +300,28 @@ class FaultyFileSystem(FileSystem):
 
     # -- FileSystem interface ---------------------------------------------
 
-    def write(self, path: str, data: bytes) -> None:
-        fired = self._fired_rules("write", path)
-        self._raise_errors(fired, "write", path)
-        self._raise_crash_before(fired, "write", path)
+    def _store(self, op: str, land, path: str, data: bytes) -> None:
+        """``write`` and ``append``: same faults; ``land`` is the inner op."""
+        fired = self._fired_rules(op, path)
+        self._raise_errors(fired, op, path)
+        self._raise_crash_before(fired, op, path)
         self._park_stalls(fired)
         torn = next((r for r in fired if r.kind == "torn-write"), None)
         if torn is not None:
-            self.inner.write(path, bytes(data[: torn.truncate_at]))
+            land(path, bytes(data[: torn.truncate_at]))
             if torn.crash:
                 raise SimulatedCrash(
-                    "write", path,
-                    f"torn at byte {torn.truncate_at} of {len(data)}",
+                    op, path, f"torn at byte {torn.truncate_at} of {len(data)}",
                 )
             return
-        self.inner.write(path, data)
-        self._raise_crashes(fired, "write", path)
+        land(path, data)
+        self._raise_crashes(fired, op, path)
+
+    def write(self, path: str, data: bytes) -> None:
+        self._store("write", self.inner.write, path, data)
+
+    def append(self, path: str, data: bytes) -> None:
+        self._store("append", self.inner.append, path, data)
 
     def read(self, path: str) -> bytes:
         fired = self._fired_rules("read", path)

@@ -5,7 +5,9 @@ Amazon S3, and HDFS for the underlying data storage."  The S3 and HDFS
 backends here are in-process simulations: dictionary-backed object
 stores with the semantics that matter to the engine (whole-object
 put/get, no partial update for S3; block-oriented accounting for
-HDFS), plus byte counters so benches can report I/O volume.
+HDFS), plus byte counters so benches can report I/O volume.  Every
+backend also offers a durable :meth:`FileSystem.append`, which the
+write-ahead log is built on.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ class FileSystem(abc.ABC):
     @abc.abstractmethod
     def write(self, path: str, data: bytes) -> None:
         """Store ``data`` at ``path``, replacing any previous object."""
+
+    @abc.abstractmethod
+    def append(self, path: str, data: bytes) -> None:
+        """Add ``data`` to the end of ``path`` (created if missing).
+
+        Durable: returns only once the bytes would survive a crash.  A
+        failure may leave any prefix of ``data`` behind.
+        """
 
     @abc.abstractmethod
     def read(self, path: str) -> bytes:
@@ -102,6 +112,25 @@ class LocalFileSystem(FileSystem):
         with self._lock:
             self.bytes_written += len(data)
 
+    def append(self, path: str, data: bytes) -> None:
+        """``O_APPEND`` write + fsync; no handle outlives the call."""
+        full = self._full(path)
+        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+        try:
+            fd = os.open(full, flags, 0o644)
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(full), exist_ok=True)
+            fd = os.open(full, flags, 0o644)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        with self._lock:
+            self.bytes_written += len(data)
+
     def read(self, path: str) -> bytes:
         with open(self._full(path), "rb") as fh:
             data = fh.read()
@@ -135,7 +164,9 @@ class InMemoryObjectStore(FileSystem):
     """Simulated Amazon S3: flat key space, whole-object semantics.
 
     Thread-safe because the distributed layer shares one store across
-    simulated nodes, exactly as Milvus's compute nodes share S3.
+    simulated nodes, exactly as Milvus's compute nodes share S3.  Each
+    object is a list of chunks, so an append costs its own bytes, not
+    the object's; a read joins the chunks once.
     """
 
     #: lock-discipline declaration consumed by tools/reprolint.
@@ -148,7 +179,7 @@ class InMemoryObjectStore(FileSystem):
     }
 
     def __init__(self):
-        self._objects: Dict[str, bytes] = {}
+        self._objects: Dict[str, List[bytes]] = {}
         self._lock = maybe_sanitize(threading.Lock(), "fs")
         self.bytes_written = 0
         self.bytes_read = 0
@@ -164,16 +195,25 @@ class InMemoryObjectStore(FileSystem):
 
     def write(self, path: str, data: bytes) -> None:
         with self._lock:
-            self._objects[path] = bytes(data)
+            self._objects[path] = [bytes(data)]
+            self.bytes_written += len(data)
+            self.put_count += 1
+
+    def append(self, path: str, data: bytes) -> None:
+        with self._lock:
+            self._objects.setdefault(path, []).append(bytes(data))
             self.bytes_written += len(data)
             self.put_count += 1
 
     def read(self, path: str) -> bytes:
         with self._lock:
             try:
-                data = self._objects[path]
+                chunks = self._objects[path]
             except KeyError:
                 raise FileNotFoundError(path) from None
+            if len(chunks) != 1:
+                chunks[:] = [b"".join(chunks)]
+            data = chunks[0]
             self.bytes_read += len(data)
             self.get_count += 1
             return data
@@ -208,7 +248,8 @@ class SimulatedHDFS(InMemoryObjectStore):
     def stored_bytes(self) -> int:
         with self._lock:
             total = 0
-            for data in self._objects.values():
-                blocks = (len(data) + self.block_size - 1) // self.block_size
+            for chunks in self._objects.values():
+                size = sum(len(chunk) for chunk in chunks)
+                blocks = (size + self.block_size - 1) // self.block_size
                 total += max(blocks, 1) * self.block_size
             return total

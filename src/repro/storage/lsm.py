@@ -389,7 +389,9 @@ class LSMManager:
         self._memtable = self._new_memtable()
         fid = self._next_frozen_id
         self._next_frozen_id += 1
-        wal_upto = self.wal.next_lsn - 1 if self.wal is not None else -1
+        # Later appends go to a new log file, so the checkpoint that
+        # follows this freeze's flush deletes whole files.
+        wal_upto = self.wal.rotate() if self.wal is not None else -1
         with self._frozen_lock:
             entry = FrozenMemtable(
                 fid, memtable, tombstones, wal_upto, len(memtable),

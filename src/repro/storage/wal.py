@@ -6,21 +6,34 @@ users" — and in the distributed deployment "Milvus relies on WAL to
 guarantee atomicity" and "the computing layer only sends logs (rather
 than the actual data) to the storage layer, similar to Aurora."
 
-Each record is one framed npz object on a :class:`FileSystem`; a
-checkpoint truncates everything at or below the flushed LSN.
+The log is a sequence of append-only files on a :class:`FileSystem`,
+each named by the LSN of its first record (``wal/{lsn:012d}.log``).
+One acknowledged insert or delete is one :meth:`FileSystem.append` of
+one framed record — a single write plus fsync — and the ack follows
+the fsync.  The LSM starts a new file at every memtable freeze
+(:meth:`WriteAheadLog.rotate`), so a checkpoint deletes whole files:
+a file goes once every LSN it can hold is at or below the flushed LSN.
 
-Durability hardening: every record is framed as
-``WREC | crc32(payload) | len(payload) | payload``, so a torn write
-(crash mid-append) or read-side bit corruption is detected instead of
-surfacing as an ``np.load`` explosion.  :meth:`WriteAheadLog.replay`
-distinguishes the two cases that matter:
+Record frame: ``WREC | crc32(payload) | len(payload) | payload``; the
+payload is a length-prefixed JSON header (lsn, kind, and each array's
+section, field name, dtype and shape) followed by the arrays' raw
+little-endian buffers.
 
-* a corrupt **tail** (the highest LSNs, with no intact record after
-  them) is the signature of a crash mid-append — the record was never
-  acknowledged, so replay deletes it and returns the intact prefix;
-* a corrupt record **followed by intact ones** means acknowledged data
-  is gone — replay raises :class:`WalCorruptionError` rather than
-  silently dropping it.
+A failed append may leave damaged bytes at the end of its file, so the
+next append starts a new file named by the LSN it reuses.  Damage is
+therefore only ever a file's *tail*, and :meth:`WriteAheadLog.replay`
+tells the harmless cases from data loss:
+
+* a damaged tail of the **last** file is the signature of a crash
+  mid-append — the record was never acknowledged, so replay cuts the
+  file back to its intact prefix;
+* a damaged tail of an earlier file is a failed append when the next
+  file starts at the LSN right after the intact prefix, and is skipped;
+  so is an intact record at or past the next file's first LSN (its
+  bytes landed but its append raised, so the next file re-logged it);
+* anything else — damage followed by intact frames, or an LSN gap
+  between files — means acknowledged data is gone, and replay raises
+  :class:`WalCorruptionError` rather than silently dropping it.
 
 Appends, replay, and truncation serialize on an internal lock (role
 ``"wal"`` in the sanitizer hierarchy: ``lsm -> wal -> fs``) so a
@@ -30,7 +43,6 @@ log with a decode.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import threading
@@ -49,6 +61,16 @@ from repro.utils.sanitizer import assert_guarded, maybe_sanitize
 #: record frame: magic, crc32 of payload, payload length.
 _FRAME = struct.Struct("<4sII")
 _MAGIC = b"WREC"
+#: payload prefix: byte length of the JSON header that follows.
+_HEADER_LEN = struct.Struct("<I")
+#: on-log dtype of each record section.
+_SECTION_DTYPES = {
+    "row_ids": np.dtype("<i8"),
+    "vectors": np.dtype("<f4"),
+    "attributes": np.dtype("<f8"),
+    "categoricals": np.dtype("<i8"),
+}
+_SUFFIX = ".log"
 
 
 class WalCorruptionError(RuntimeError):
@@ -76,32 +98,26 @@ class WalRecord:
     categoricals: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def to_bytes(self) -> bytes:
-        meta = {
-            "lsn": self.lsn,
-            "kind": self.kind,
-            "vector_fields": sorted(self.vectors),
-            "attribute_fields": sorted(self.attributes),
-            "categorical_fields": sorted(self.categoricals),
-        }
-        arrays = {"row_ids": np.asarray(self.row_ids, dtype=np.int64)}
-        for name, mat in self.vectors.items():
-            arrays[f"vec__{name}"] = np.asarray(mat, dtype=np.float32)
-        for name, vals in self.attributes.items():
-            arrays[f"attr__{name}"] = np.asarray(vals, dtype=np.float64)
-        for name, codes in self.categoricals.items():
-            arrays[f"cat__{name}"] = np.asarray(codes, dtype=np.int64)
-        buf = io.BytesIO()
-        np.savez(buf, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                 **arrays)
-        payload = buf.getvalue()
+        arrays = [("row_ids", "", self.row_ids)]
+        for section in ("vectors", "attributes", "categoricals"):
+            columns = getattr(self, section)
+            arrays.extend((section, name, columns[name]) for name in sorted(columns))
+        specs, buffers = [], []
+        for section, name, values in arrays:
+            arr = np.ascontiguousarray(values, dtype=_SECTION_DTYPES[section])
+            specs.append([section, name, arr.dtype.str, list(arr.shape)])
+            buffers.append(arr.data)
+        header = json.dumps(
+            {"lsn": self.lsn, "kind": self.kind, "arrays": specs}
+        ).encode()
+        payload = b"".join([_HEADER_LEN.pack(len(header)), header, *buffers])
         return _FRAME.pack(_MAGIC, zlib.crc32(payload), len(payload)) + payload
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "WalRecord":
-        """Decode one framed record; :class:`WalCorruptionError` on damage."""
+        """Decode exactly one framed record; :class:`WalCorruptionError` on damage."""
         if len(blob) < _FRAME.size or blob[:4] != _MAGIC:
-            # Pre-checksum records (raw npz) decode via the legacy path.
-            return cls._decode_payload(blob)
+            raise WalCorruptionError("not a WAL record: bad frame magic")
         magic, crc, length = _FRAME.unpack_from(blob)
         payload = blob[_FRAME.size:]
         if len(payload) != length:
@@ -116,27 +132,67 @@ class WalRecord:
     @classmethod
     def _decode_payload(cls, payload: bytes) -> "WalRecord":
         try:
-            with np.load(io.BytesIO(payload)) as archive:
-                meta = json.loads(bytes(archive["meta"]).decode())
-                vectors = {n: archive[f"vec__{n}"] for n in meta["vector_fields"]}
-                attributes = {
-                    n: archive[f"attr__{n}"] for n in meta["attribute_fields"]
-                }
-                categoricals = {
-                    n: archive[f"cat__{n}"] for n in meta.get("categorical_fields", [])
-                }
-                return cls(
-                    lsn=meta["lsn"],
-                    kind=meta["kind"],
-                    row_ids=archive["row_ids"],
-                    vectors=vectors,
-                    attributes=attributes,
-                    categoricals=categoricals,
-                )
-        except WalCorruptionError:
-            raise
+            (header_len,) = _HEADER_LEN.unpack_from(payload)
+            pos = _HEADER_LEN.size + header_len
+            meta = json.loads(payload[_HEADER_LEN.size:pos].decode())
+            sections: Dict[str, Dict[str, np.ndarray]] = {
+                "vectors": {}, "attributes": {}, "categoricals": {},
+            }
+            row_ids = None
+            for section, name, dtype, shape in meta["arrays"]:
+                dtype = np.dtype(dtype)
+                count = int(np.prod(shape))
+                arr = np.frombuffer(
+                    payload, dtype=dtype, count=count, offset=pos
+                ).reshape(shape).copy()
+                pos += count * dtype.itemsize
+                if section == "row_ids":
+                    row_ids = arr
+                else:
+                    sections[section][name] = arr
+            if row_ids is None or pos != len(payload):
+                raise ValueError("arrays do not account for the payload")
+            return cls(
+                lsn=meta["lsn"], kind=meta["kind"], row_ids=row_ids, **sections
+            )
         except Exception as exc:
             raise WalCorruptionError(f"undecodable record payload: {exc}") from exc
+
+
+def _frame_at(blob: bytes, pos: int) -> Optional[bytes]:
+    """The payload of the intact frame starting at ``pos``, else None."""
+    if pos + _FRAME.size > len(blob):
+        return None
+    magic, crc, length = _FRAME.unpack_from(blob, pos)
+    start = pos + _FRAME.size
+    if magic != _MAGIC or start + length > len(blob):
+        return None
+    payload = blob[start:start + length]
+    return payload if zlib.crc32(payload) == crc else None
+
+
+def _split_frames(blob: bytes) -> Tuple[List[bytes], int, Optional[bytes]]:
+    """Split one log file into its intact prefix.
+
+    Returns the prefix's payloads, the byte offset where it ends, and
+    the payload of the last intact frame after the damage past that
+    offset, if any (no failed append leaves one: appends never resume
+    in a file after a failure).
+    """
+    payloads = []
+    pos = 0
+    while True:
+        payload = _frame_at(blob, pos)
+        if payload is None:
+            break
+        payloads.append(payload)
+        pos += _FRAME.size + len(payload)
+    stray = None
+    probe = blob.find(_MAGIC, pos + 1)
+    while probe != -1:
+        stray = _frame_at(blob, probe) or stray
+        probe = blob.find(_MAGIC, probe + 1)
+    return payloads, pos, stray
 
 
 class WriteAheadLog:
@@ -146,8 +202,9 @@ class WriteAheadLog:
     #: registered centrally in [tool.reprolint.guarded-fields]).
     _GUARDED_BY = {
         "_next_lsn": "_lock",
-        "_pending_bytes": "_lock",
-        "_lag_bytes": "_lock",
+        "_files": "_lock",
+        "_active": "_lock",
+        "_checkpoint": "_lock",
     }
 
     def __init__(self, fs: FileSystem, prefix: str = "wal"):
@@ -157,22 +214,45 @@ class WriteAheadLog:
         # the LSM write path appends under its own lock, and appends /
         # checkpoints call into the filesystem while holding this one.
         self._lock = maybe_sanitize(threading.Lock(), "wal")
-        existing = self.fs.listdir(self.prefix + "/")
+        #: first LSN -> bytes of each log file on storage; the sum is
+        #: the WAL-lag health signal.  Files inherited from a previous
+        #: process are sized when they are read.
+        self._files: Dict[int, int] = dict.fromkeys(self._scan(), 0)
+        #: first LSN of the file appends go to; None starts a new file
+        #: at the next append (a fresh process never appends after a
+        #: tail it has not checked).
+        self._active: Optional[int] = None
+        #: highest LSN a checkpoint has covered; files are deleted only
+        #: whole, so a file may still hold records at or below it.
+        self._checkpoint = -1
         self._next_lsn = 0
-        for path in existing:
-            try:
-                lsn = int(path.rsplit("/", 1)[-1].split(".")[0])
-            except ValueError:
-                continue
-            self._next_lsn = max(self._next_lsn, lsn + 1)
-        #: lsn -> framed record size for un-checkpointed records; the
-        #: sum is the WAL-lag health signal.  Records inherited from a
-        #: previous process are sized when replay reads them.
-        self._pending_bytes: Dict[int, int] = {}
-        self._lag_bytes = 0
+        if self._files:
+            last = max(self._files)
+            blob = self.fs.read(self._path(last))
+            self._files[last] = len(blob)
+            payloads, __, stray = _split_frames(blob)
+            self._next_lsn = last + len(payloads)
+            if stray is not None:
+                # Damage mid-file: replay will raise, and until then no
+                # append or checkpoint may reach the LSNs past it.
+                self._next_lsn = max(
+                    self._next_lsn, WalRecord._decode_payload(stray).lsn + 1
+                )
 
-    def _path(self, lsn: int) -> str:
-        return f"{self.prefix}/{lsn:012d}.rec"
+    def _path(self, first_lsn: int) -> str:
+        return f"{self.prefix}/{first_lsn:012d}{_SUFFIX}"
+
+    def _scan(self) -> List[int]:
+        """First LSNs of the log files on storage, ascending."""
+        firsts = []
+        for path in self.fs.listdir(self.prefix + "/"):
+            name = path.rsplit("/", 1)[-1]
+            if name.endswith(_SUFFIX):
+                try:
+                    firsts.append(int(name[: -len(_SUFFIX)]))
+                except ValueError:
+                    continue
+        return sorted(firsts)
 
     @property
     def next_lsn(self) -> int:
@@ -185,7 +265,7 @@ class WriteAheadLog:
         attributes: Optional[Dict[str, np.ndarray]] = None,
         categoricals: Optional[Dict[str, np.ndarray]] = None,
     ) -> int:
-        """Log an insert batch; returns its LSN."""
+        """Log an insert batch; returns its LSN once it is durable."""
         with self._lock:
             record = WalRecord(
                 self._next_lsn, "insert", row_ids, vectors, attributes or {},
@@ -194,100 +274,147 @@ class WriteAheadLog:
             return self._append_locked(record)
 
     def append_delete(self, row_ids: np.ndarray) -> int:
-        """Log a delete batch; returns its LSN."""
+        """Log a delete batch; returns its LSN once it is durable."""
         with self._lock:
             record = WalRecord(self._next_lsn, "delete", row_ids, {}, {}, {})
             return self._append_locked(record)
 
     def _append_locked(self, record: WalRecord) -> int:
-        # The LSN counter advances only after the write lands: a write
+        # The LSN counter advances only after the append lands: one
         # that raises (torn, transient) was never acknowledged, and its
-        # LSN is reused by the next append.
+        # LSN is reused by the next append — in a new file, because the
+        # failed one may have left a damaged tail.
         obs = get_obs()
         blob = record.to_bytes()
         with obs.tracer.span("wal.append", kind=record.kind):
             started = time.perf_counter()
-            self.fs.write(self._path(record.lsn), blob)
+            if self._active is None:
+                if record.lsn in self._files:
+                    # Left by a failed first append at this LSN: it
+                    # holds nothing acknowledged.
+                    self.fs.delete(self._path(record.lsn))
+                self._files[record.lsn] = 0
+                self._active = record.lsn
+            try:
+                self.fs.append(self._path(self._active), blob)
+            except BaseException:
+                self._active = None
+                raise
             elapsed = time.perf_counter() - started
         self._next_lsn += 1
-        self._pending_bytes[record.lsn] = len(blob)
-        self._lag_bytes += len(blob)
+        self._files[self._active] += len(blob)
         obs.registry.counter("wal_appends_total", kind=record.kind).inc()
         obs.registry.histogram("wal_append_seconds").observe(elapsed)
-        obs.registry.gauge("wal_lag_bytes").set(self._lag_bytes)
+        obs.registry.gauge("wal_lag_bytes").set(self._lag_bytes_locked())
         return record.lsn
 
-    def _scan_locked(self, from_lsn: int) -> List[Tuple[int, str]]:
-        entries = []
-        for path in self.fs.listdir(self.prefix + "/"):
-            name = path.rsplit("/", 1)[-1]
-            try:
-                lsn = int(name.split(".")[0])
-            except ValueError:
-                continue
-            if lsn >= from_lsn:
-                entries.append((lsn, path))
-        entries.sort()
-        return entries
+    def _lag_bytes_locked(self) -> int:
+        assert_guarded(self._lock, "WriteAheadLog", "_files")
+        return sum(self._files.values())
+
+    def rotate(self) -> int:
+        """End the current file; returns the highest LSN logged so far.
+
+        The next append starts a new file, so a checkpoint through the
+        returned LSN deletes whole files.  No I/O happens here.
+        """
+        with self._lock:
+            self._active = None
+            return self._next_lsn - 1
+
+    def _ranges_locked(self) -> List[Tuple[int, int]]:
+        """(first LSN, highest LSN it can hold) per file, ascending."""
+        firsts = sorted(self._files)
+        uppers = [f - 1 for f in firsts[1:]] + [self._next_lsn - 1]
+        return list(zip(firsts, uppers))
 
     def replay(self, from_lsn: int = 0) -> List[WalRecord]:
         """Records with ``lsn >= from_lsn`` in order, torn tail removed.
 
-        Corrupt records at the tail (nothing intact after them) are the
-        un-acknowledged remains of a crash mid-append: they are deleted
-        and the intact prefix is returned.  A corrupt record *followed*
-        by an intact one is acknowledged data loss and raises
-        :class:`WalCorruptionError`.
+        See the module docstring for which damage is a harmless
+        un-acknowledged tail and which raises
+        :class:`WalCorruptionError`.  Everything below ``from_lsn`` is
+        the caller's checkpoint, so later appends are numbered from
+        ``from_lsn`` at least.
         """
         with self._lock:
-            entries = self._scan_locked(from_lsn)
-            decoded: List[Tuple[int, str, Optional[WalRecord]]] = []
-            for lsn, path in entries:
-                blob = self.fs.read(path)
-                try:
-                    record: Optional[WalRecord] = WalRecord.from_bytes(blob)
-                except WalCorruptionError:
-                    record = None
-                else:
-                    # Size records inherited from a previous process so
-                    # the lag signal is right after recovery.
-                    if lsn not in self._pending_bytes:
-                        self._pending_bytes[lsn] = len(blob)
-                        self._lag_bytes += len(blob)
-                decoded.append((lsn, path, record))
-            last_intact = max(
-                (i for i, (*__, rec) in enumerate(decoded) if rec is not None),
-                default=-1,
-            )
-            for i, (lsn, path, record) in enumerate(decoded):
-                if record is None and i < last_intact:
+            from_lsn = max(from_lsn, self._checkpoint + 1)
+            ranges = [r for r in self._ranges_locked() if r[1] >= from_lsn]
+            records: List[WalRecord] = []
+            for i, (first, upper) in enumerate(ranges):
+                path = self._path(first)
+                blob = self._read_locked(first)
+                payloads, end, stray = _split_frames(blob)
+                expected = first
+                # An append whose bytes landed but whose call raised was
+                # never acknowledged; its LSN was re-logged in the next file.
+                for payload in payloads[: upper - first + 1]:
+                    record = WalRecord._decode_payload(payload)
+                    if record.lsn != expected:
+                        raise WalCorruptionError(
+                            f"WAL file {path} holds LSN {record.lsn} where "
+                            f"{expected} belongs", lsn=expected,
+                        )
+                    if record.lsn >= from_lsn:
+                        records.append(record)
+                    expected += 1
+                following = ranges[i + 1][0] if i + 1 < len(ranges) else None
+                if stray is not None or (
+                    following is not None and following != expected
+                ):
                     raise WalCorruptionError(
-                        f"WAL record {lsn} is corrupt but later records are "
-                        f"intact: acknowledged writes would be lost",
-                        lsn=lsn,
+                        f"WAL record {expected} is missing or corrupt but later "
+                        f"records are intact: acknowledged writes would be lost",
+                        lsn=expected,
                     )
-            # Anything after the last intact record is a torn tail.
-            for lsn, path, record in decoded[last_intact + 1:]:
-                self.fs.delete(path)
-                self._drop_pending_locked(lsn)
-            get_obs().registry.gauge("wal_lag_bytes").set(self._lag_bytes)
-            return [rec for *__, rec in decoded[: last_intact + 1]]
+                if end < len(blob) and following is None:
+                    self._cut_tail_locked(first, blob[:end])
+                else:
+                    self._files[first] = len(blob)
+            if from_lsn > self._next_lsn:
+                self._next_lsn = int(from_lsn)
+                self._active = None
+            lag = self._lag_bytes_locked()
+        get_obs().registry.gauge("wal_lag_bytes").set(lag)
+        return records
 
-    def _drop_pending_locked(self, lsn: int) -> None:
-        assert_guarded(self._lock, "WriteAheadLog", "_lag_bytes")
-        size = self._pending_bytes.pop(lsn, 0)
-        self._lag_bytes -= size
+    def _read_locked(self, first: int) -> bytes:
+        # A file whose first append failed before landing may be absent.
+        try:
+            return self.fs.read(self._path(first))
+        except FileNotFoundError:
+            return b""
+
+    def _cut_tail_locked(self, first: int, prefix: bytes) -> None:
+        """Drop the torn tail of the last file, keeping its intact prefix."""
+        path = self._path(first)
+        if prefix:
+            self.fs.write(path, prefix)
+            self._files[first] = len(prefix)
+        else:
+            self.fs.delete(path)
+            del self._files[first]
+        if self._active == first:
+            self._active = None
 
     def truncate_through(self, lsn: int) -> None:
-        """Checkpoint: discard records with LSN <= ``lsn``."""
+        """Checkpoint: records ``<= lsn`` are never replayed again.
+
+        Every file whose LSNs are all ``<= lsn`` is deleted; a file that
+        also holds later records stays until a later checkpoint.
+        """
         removed = 0
         with self._lock:
-            for rec_lsn, path in self._scan_locked(0):
-                if rec_lsn <= lsn:
-                    self.fs.delete(path)
-                    self._drop_pending_locked(rec_lsn)
-                    removed += 1
-            lag = self._lag_bytes
+            self._checkpoint = max(self._checkpoint, lsn)
+            for first, upper in self._ranges_locked():
+                if upper > lsn:
+                    break
+                self.fs.delete(self._path(first))
+                del self._files[first]
+                if self._active == first:
+                    self._active = None
+                removed += 1
+            lag = self._lag_bytes_locked()
         obs = get_obs()
         obs.registry.gauge("wal_lag_bytes").set(lag)
         if removed:
@@ -295,10 +422,14 @@ class WriteAheadLog:
                             lsn=lsn, removed=removed, lag_bytes=lag)
 
     def pending_lsns(self) -> List[int]:
-        """LSNs of records currently on storage, ascending.
+        """LSNs of the intact records currently on storage, ascending.
 
         Chaos tests assert checkpointing actually reclaimed the log and
         that recovery never replays below the flushed LSN.
         """
         with self._lock:
-            return [lsn for lsn, __ in self._scan_locked(0)]
+            lsns: List[int] = []
+            for first, upper in self._ranges_locked():
+                payloads = _split_frames(self._read_locked(first))[0]
+                lsns.extend(range(first, min(first + len(payloads), upper + 1)))
+            return lsns

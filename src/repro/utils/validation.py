@@ -32,3 +32,16 @@ def ensure_vector_dim(arr: np.ndarray, dim: int, name: str) -> np.ndarray:
             f"{name} has dimension {arr.shape[1]}, expected {dim}"
         )
     return arr
+
+
+def ensure_int_ids(values, name: str) -> np.ndarray:
+    """Coerce a sequence of integer ids to 1-D int64, refusing anything else.
+
+    A float such as ``1.7`` is refused rather than truncated to ``1``.
+    """
+    arr = np.asarray(values)
+    if arr.ndim > 1:
+        raise ValueError(f"{name} must be a flat list, got shape {arr.shape}")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {arr.ravel()[:3].tolist()!r}")
+    return arr.reshape(-1).astype(np.int64, copy=False)

@@ -90,7 +90,7 @@ class TestCrashRecoverySchedules:
 
     def test_torn_wal_tail(self):
         plan = FaultPlan(seed=11)
-        plan.torn_write("wal/*", truncate_at=40, nth=3)
+        plan.torn_write("wal/*", truncate_at=40, nth=3, op="append")
 
         def script(lsm, rng, acked):
             for start in (0, 10, 20, 30):
@@ -209,7 +209,7 @@ class TestCrashRecoverySchedules:
         """Transient write faults + retry: every acked batch survives."""
         inner = InMemoryObjectStore()
         plan = FaultPlan(seed=19)
-        plan.fail("wal/*", op="write", nth=2, times=2)
+        plan.fail("wal/*", op="append", nth=2, times=2)
         plan.fail("segments/*", op="write", nth=1, times=1)
         faulty = FaultyFileSystem(inner, plan)
         lsm = make_lsm(faulty)
@@ -285,7 +285,7 @@ BG_CRASH_POINTS = [
     # WAL checkpoint interrupted (double-apply hazard on replay)
     ("wal-truncate-1", lambda p: p.crash_after("wal/*", op="delete", nth=1)),
     # writer-path crash before the WAL record lands: never acked
-    ("wal-append-before-2", lambda p: p.crash_before("wal/*", op="write", nth=2)),
+    ("wal-append-before-2", lambda p: p.crash_before("wal/*", op="append", nth=2)),
 ]
 
 BG_SEEDS = [101, 202, 303, 404, 505]

@@ -40,6 +40,21 @@ class TestFaultPlanDsl:
         assert inner.read("wal/rec") == b"012"  # partial payload landed
         assert rule.fired == 1
 
+    def test_torn_append_keeps_earlier_bytes(self):
+        inner = InMemoryObjectStore()
+        plan = FaultPlan(seed=1)
+        rule = plan.torn_write("wal/*", truncate_at=2, nth=2, op="append")
+        fs = FaultyFileSystem(inner, plan)
+        fs.append("wal/log", b"abc")
+        with pytest.raises(SimulatedCrash):
+            fs.append("wal/log", b"defgh")
+        assert inner.read("wal/log") == b"abcde"
+        assert rule.fired == 1
+
+    def test_only_writes_and_appends_tear(self):
+        with pytest.raises(ValueError):
+            FaultPlan().torn_write("*", truncate_at=1, op="delete")
+
     def test_torn_write_without_crash_is_short_write(self):
         inner = InMemoryObjectStore()
         plan = FaultPlan(seed=1)
@@ -156,12 +171,10 @@ class TestWalChecksums:
         with pytest.raises(WalCorruptionError):
             WalRecord.from_bytes(bytes(blob))
 
-    def test_legacy_unframed_record_still_decodes(self):
-        rec = self.record(lsn=3)
-        framed = rec.to_bytes()
-        legacy_payload = framed[12:]  # strip WREC|crc|len frame
-        back = WalRecord.from_bytes(legacy_payload)
-        assert back.lsn == 3
+    def test_unframed_payload_rejected(self):
+        framed = self.record(lsn=3).to_bytes()
+        with pytest.raises(WalCorruptionError):
+            WalRecord.from_bytes(framed[12:])  # strip WREC|crc|len frame
 
     def test_mid_log_corruption_raises_not_truncates(self):
         fs = InMemoryObjectStore()
@@ -169,9 +182,9 @@ class TestWalChecksums:
         for i in range(3):
             wal.append_delete(np.array([i]))
         # Damage record 0 while records 1, 2 stay intact.
-        path = "wal/000000000000.rec"
+        path = "wal/000000000000.log"
         blob = bytearray(fs.read(path))
-        blob[-1] ^= 0xFF
+        blob[20] ^= 0xFF
         fs.write(path, bytes(blob))
         with pytest.raises(WalCorruptionError):
             WriteAheadLog(fs).replay()
@@ -266,7 +279,7 @@ class TestClientRetryWiring:
 
     def test_rest_insert_succeeds_through_transient_faults(self):
         plan = FaultPlan(seed=0)
-        plan.fail("wal/*", op="write", nth=1, times=2)
+        plan.fail("wal/*", op="append", nth=1, times=2)
         policy = RetryPolicy(max_attempts=4, sleep=no_sleep, seed=3)
         router = self.make_router_with_flaky_storage(plan, policy)
         resp = router.handle("POST", "/collections/c/entities", {
@@ -278,7 +291,7 @@ class TestClientRetryWiring:
 
     def test_rest_maps_exhausted_retries_to_503(self):
         plan = FaultPlan(seed=0)
-        plan.fail("wal/*", op="write", times=None)
+        plan.fail("wal/*", op="append", times=None)
         policy = RetryPolicy(max_attempts=3, sleep=no_sleep)
         router = self.make_router_with_flaky_storage(plan, policy)
         resp = router.handle("POST", "/collections/c/entities", {
@@ -295,7 +308,7 @@ class TestClientRetryWiring:
         client.create_collection("c", {"emb": (4, "l2")})
         col = client.server.get_collection("c")
         plan = FaultPlan(seed=0)
-        plan.fail("wal/*", op="write", nth=1, times=2)
+        plan.fail("wal/*", op="append", nth=1, times=2)
         faulty = FaultyFileSystem(col.lsm.fs, plan)
         col.lsm.fs = faulty
         col.lsm.wal.fs = faulty

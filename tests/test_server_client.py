@@ -143,6 +143,35 @@ class TestRest:
         })
         assert resp.body["hits"][0][0]["id"] != 5
 
+    @pytest.mark.parametrize("ids", [[1.7], ["a"], [1, "a"], [[1]]])
+    def test_delete_ids_must_be_integers(self, router, data, ids):
+        self.test_insert_flush_search(router, data)
+        resp = router.handle("DELETE", "/collections/web/entities", {"ids": ids})
+        assert resp.status == 400 and "ids" in resp.body["error"]
+        router.handle("POST", "/flush", {})
+        resp = router.handle("POST", "/collections/web/search", {
+            "field": "v", "queries": [data[1].tolist()], "k": 1,
+        })
+        assert resp.body["hits"][0][0]["id"] == 1  # row 1 was not deleted
+
+    @pytest.mark.parametrize("field,bad", [
+        ("v", float("nan")), ("v", float("inf")),
+        ("v", 1e39),  # finite in JSON, inf as float32
+        ("price", float("nan")), ("price", -float("inf")),
+    ])
+    def test_non_finite_insert_refused(self, router, data, field, bad):
+        self.test_insert_flush_search(router, data)
+        payload = {"v": data[:2].tolist(), "price": [1.0, 2.0]}
+        if field == "v":
+            payload["v"][1][3] = bad
+        else:
+            payload["price"][1] = bad
+        with np.errstate(over="ignore"):
+            resp = router.handle("POST", "/collections/web/entities", {"data": payload})
+        assert resp.status == 400 and repr(field) in resp.body["error"]
+        col = router.client.server.get_collection("web")
+        assert col.lsm.wal.next_lsn == 1  # nothing reached the log
+
     def test_unknown_route_404(self, router):
         assert router.handle("GET", "/nope").status == 404
 

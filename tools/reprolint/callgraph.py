@@ -56,7 +56,7 @@ BLOCKING_STDLIB_METHODS = {
 }
 
 #: FileSystem-style methods that do object-store I/O.
-FS_METHODS = {"write", "read", "delete", "listdir", "exists"}
+FS_METHODS = {"write", "append", "read", "delete", "listdir", "exists"}
 
 #: calls that copy a container, laundering an escape (rule 4).
 COPYING_CALLS = {"list", "dict", "set", "tuple", "frozenset", "sorted", "bytes"}
