@@ -9,7 +9,9 @@ Both sides run the production probe (``IVFIndexBase._search_pruned``):
 one ``search`` of ``b`` queries — bucket-major once the batch shares
 buckets (from ``b = 64`` here), every probed bucket scored once for all
 its queries — against ``b`` searches of one query each, where every
-query streams its buckets alone (query-major).
+query streams its buckets alone (query-major).  main prints the
+speedup; the checks assert identical results and what the speedup is
+made of: how many queries share each bucket scan, by batch size.
 
 The probe has two regimes, and ``probes_query_major`` picks one per
 request from ``nq``, ``nprobe`` and ``nlist``.  ``--regimes`` prints
@@ -33,7 +35,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from repro.bench import print_series
 from repro.datasets import random_queries, sift_like
@@ -46,20 +47,23 @@ from repro.utils import TopKCollector, merge_topk_batch
 N = 30000
 DIM = 48
 K = 10
+NLIST = 128
 BATCHES = (1, 8, 64, 256, 1024)
+#: rows of the checks' index
+CHECK_N = 4000
 
 _cache = {}
 
 
-def setup():
-    if "bundle" not in _cache:
-        data = sift_like(N, dim=DIM, n_clusters=64, seed=0)
+def setup(n=N):
+    if n not in _cache:
+        data = sift_like(n, dim=DIM, n_clusters=64, seed=0)
         queries = random_queries(data, max(BATCHES), seed=1)
-        index = IVFFlatIndex(DIM, nlist=128, seed=0)
+        index = IVFFlatIndex(DIM, nlist=NLIST, seed=0)
         index.train(data)
         index.add(data)
-        _cache["bundle"] = (queries, index)
-    return _cache["bundle"]
+        _cache[n] = (queries, index)
+    return _cache[n]
 
 
 def search_one_by_one(index, queries, nprobe):
@@ -82,36 +86,34 @@ def run_sweep(nprobe=16):
     return rows
 
 
-@pytest.fixture(scope="module")
-def sweep():
-    return run_sweep()
+def bucket_sharing(index, queries, nprobe):
+    """Queries per distinct probed bucket: how many queries one bucket
+    scan serves in the bucket-major regime (1 = nothing shared)."""
+    buckets = index.select_buckets(queries, nprobe)
+    return buckets.size / len(np.unique(buckets))
 
 
 def test_identical_results():
-    queries, index = setup()
+    queries, index = setup(CHECK_N)
     solo = search_one_by_one(index, queries[:64], 16)
     batch = index.search(queries[:64], K, nprobe=16)
     np.testing.assert_array_equal(np.concatenate([r.ids for r in solo]), batch.ids)
 
 
-def test_batched_wins_at_large_batch(sweep):
-    m, per_query, bucket_major = sweep[-1]
-    assert bucket_major < per_query
+def test_batched_shares_buckets_at_large_batch():
+    """The rule runs the largest batch bucket-major, where every bucket
+    scan serves many queries; a single query runs query-major."""
+    queries, index = setup(CHECK_N)
+    assert probes_query_major(1, 16, NLIST)
+    assert not probes_query_major(BATCHES[-1], 16, NLIST)
+    assert bucket_sharing(index, queries[:BATCHES[-1]], 16) > 16
 
 
-def test_advantage_grows_with_batch(sweep):
-    ratios = [pq / bm for __, pq, bm in sweep]
-    assert ratios[-1] > ratios[0]
-
-
-def test_benchmark_per_query(benchmark):
-    queries, index = setup()
-    benchmark(lambda: search_one_by_one(index, queries[:256], 16))
-
-
-def test_benchmark_bucket_major(benchmark):
-    queries, index = setup()
-    benchmark(lambda: index.search(queries[:256], K, nprobe=16))
+def test_sharing_grows_with_batch():
+    queries, index = setup(CHECK_N)
+    sharing = [bucket_sharing(index, queries[:m], 16) for m in BATCHES]
+    assert sharing[0] == 1
+    assert all(b > a for a, b in zip(sharing, sharing[1:]))
 
 
 # -- the regime sweep -------------------------------------------------------------

@@ -84,20 +84,6 @@ def test_inverted_beats_bitmap_memory_at_high_cardinality(sweep):
     assert inv < bmp
 
 
-def test_benchmark_inverted_lookup(benchmark):
-    rng = np.random.default_rng(2)
-    codes = rng.integers(0, 64, N_ROWS).astype(np.int64)
-    index = InvertedIndex(codes, np.arange(N_ROWS, dtype=np.int64))
-    benchmark(lambda: index.rows_in([3, 4, 5]))
-
-
-def test_benchmark_bitmap_lookup(benchmark):
-    rng = np.random.default_rng(2)
-    codes = rng.integers(0, 64, N_ROWS).astype(np.int64)
-    index = BitmapIndex(codes, np.arange(N_ROWS, dtype=np.int64))
-    benchmark(lambda: index.rows_in([3, 4, 5]))
-
-
 def main():
     rows = run_sweep()
     print_table(

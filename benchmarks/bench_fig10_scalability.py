@@ -12,8 +12,6 @@ one-node-per-machine deployment would observe.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
@@ -22,42 +20,52 @@ from repro.bench import print_series
 from repro.datasets import random_queries, sift_like
 from repro.distributed import MilvusCluster
 
+from common import best_time, profiled
+
 DIM = 32
 K = 10
 DATA_SIZES = (2000, 8000, 32000, 128000)
 NODE_COUNTS = (1, 2, 4, 8, 12)
 CLUSTER_N = 120000
 CLUSTER_NQ = 200
+#: the checks' sweeps
+CHECK_SIZES = (1000, 2000, 4000, 8000)
+CHECK_CLUSTER_N = 12000
 
 
-def run_data_size_sweep():
-    """Fixed nlist/nprobe so scanned rows grow linearly with n (the
-    paper keeps the index configuration fixed across sizes)."""
+def run_data_size_sweep(sizes=DATA_SIZES, timed=True):
+    """[(n, qps, rows scanned per query)]: fixed nlist/nprobe so scanned
+    rows grow linearly with n (the paper keeps the index configuration
+    fixed across sizes); qps ``None`` unless ``timed``."""
     points = []
-    for n in DATA_SIZES:
+    for n in sizes:
         data = sift_like(n, dim=DIM, n_clusters=32, seed=0)
         queries = random_queries(data, 200, seed=1)
         engine = MilvusEngine(index_type="IVF_FLAT", nlist=64)
         engine.fit(data)
-        engine.search(queries[:10], K, nprobe=8)  # warm-up
-        from common import best_time
-
-        elapsed = best_time(lambda: engine.search(queries, K, nprobe=8), repeats=3)
-        points.append((n, len(queries) / elapsed))
+        search = lambda: engine.search(queries, K, nprobe=8)
+        __, counters = profiled(search)
+        qps = len(queries) / best_time(search, repeats=3) if timed else None
+        points.append((n, qps, counters["rows_scanned"] / len(queries)))
     return points
 
 
-def run_node_sweep():
+def build_cluster(n_nodes, data):
     """FLAT per reader so per-node work scales with shard size — the
     compute-bound regime where the shared-storage fan-out shows its
     near-linear scaling."""
+    cluster = MilvusCluster(n_nodes, dim=DIM, index_type="FLAT")
+    cluster.insert(np.arange(len(data)), data)
+    cluster.sync()
+    return cluster
+
+
+def run_node_sweep():
     data = sift_like(CLUSTER_N, dim=DIM, n_clusters=32, seed=2)
     queries = random_queries(data, CLUSTER_NQ, seed=3)
     points = []
     for n_nodes in NODE_COUNTS:
-        cluster = MilvusCluster(n_nodes, dim=DIM, index_type="FLAT")
-        cluster.insert(np.arange(len(data)), data)
-        cluster.sync()
+        cluster = build_cluster(n_nodes, data)
         cluster.search(queries[:10], K)  # warm-up
         sim_seconds = min(
             cluster.search(queries, K).simulated_parallel_seconds
@@ -69,58 +77,47 @@ def run_node_sweep():
 
 @pytest.fixture(scope="module")
 def size_points():
-    return run_data_size_sweep()
+    return run_data_size_sweep(CHECK_SIZES, timed=False)
 
 
 @pytest.fixture(scope="module")
-def node_points():
-    return run_node_sweep()
+def largest_shard():
+    """{nodes: rows of the largest shard}: the busiest reader's share."""
+    data = sift_like(CHECK_CLUSTER_N, dim=DIM, n_clusters=32, seed=2)
+    out = {}
+    for n_nodes in NODE_COUNTS:
+        sizes = build_cluster(n_nodes, data).shard_sizes()
+        assert sum(sizes.values()) == len(data)
+        out[n_nodes] = max(sizes.values())
+    return out
 
 
-def test_throughput_drops_with_data_size(size_points):
-    """Fig. 10a: 'throughput gracefully drops proportionally'.
-
-    Non-strict monotonicity with 15% noise tolerance — the two
-    smallest sizes are overhead-bound and can jitter; the overall
-    decline must be unambiguous.
-    """
-    qps = [q for __, q in size_points]
-    assert all(b < 1.15 * a for a, b in zip(qps, qps[1:]))
-    assert qps[-1] < qps[0] / 2
+def test_work_grows_with_data_size(size_points):
+    """Fig. 10a: 'throughput gracefully drops proportionally' — because
+    the rows each query scans grow with n at a fixed nlist/nprobe."""
+    rows = [r for __, ___, r in size_points]
+    assert all(b > a for a, b in zip(rows, rows[1:]))
 
 
-def test_drop_roughly_proportional(size_points):
-    """Throughput must track data growth once compute dominates.
-
-    At laptop scale per-query overhead flattens the small-n points, so
-    the proportionality check runs on the upper half of the sweep.
-    """
-    mid, last = size_points[-2], size_points[-1]
-    ratio = mid[1] / last[1]
-    scale = last[0] / mid[0]  # 4x data
-    assert ratio > scale / 3
+def test_work_roughly_proportional(size_points):
+    """Rows scanned per query track the data size within 2x."""
+    (n0, __, r0), (n1, ___, r1) = size_points[0], size_points[-1]
+    assert (n1 / n0) / 2 < r1 / r0 < 2 * (n1 / n0)
 
 
-def test_near_linear_node_scaling(node_points):
-    """Fig. 10b: 'the throughput increases linearly' (with slack for
-    measurement noise on shared machines)."""
-    qps = {n: q for n, q in node_points}
-    assert qps[4] > 1.8 * qps[1]
-    assert qps[12] > 1.4 * qps[4]
-
-
-def test_benchmark_single_node_search(benchmark):
-    data = sift_like(16000, dim=DIM, n_clusters=32, seed=0)
-    queries = random_queries(data, 100, seed=1)
-    engine = MilvusEngine(index_type="IVF_FLAT", nlist=128)
-    engine.fit(data)
-    benchmark(lambda: engine.search(queries, K, nprobe=8))
+def test_largest_shard_shrinks_with_nodes(largest_shard):
+    """Fig. 10b: 'the throughput increases linearly' — the busiest
+    reader's shard, which bounds the parallel time, shrinks ~1/nodes."""
+    for n_nodes, rows in largest_shard.items():
+        assert rows <= 1.5 * CHECK_CLUSTER_N / n_nodes
+    assert largest_shard[1] > 1.8 * largest_shard[4]
+    assert largest_shard[4] > 1.4 * largest_shard[12]
 
 
 def main():
     print("=== Figure 10a: throughput vs data size (single node) ===")
     points = run_data_size_sweep()
-    print_series("IVF_FLAT", [n for n, __ in points], [f"{q:.0f} qps" for __, q in points])
+    print_series("IVF_FLAT", [n for n, *__ in points], [f"{q:.0f} qps" for __, q, ___ in points])
     print("=== Figure 10b: throughput vs #nodes (simulated parallel time) ===")
     points = run_node_sweep()
     print_series("cluster", [n for n, __ in points], [f"{q:.0f} qps" for __, q in points])

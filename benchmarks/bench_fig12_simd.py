@@ -41,16 +41,6 @@ def test_dispatch_selects_per_cpu():
     assert SimdDispatcher.for_cpu(CORE_I7_8700).selected_level is SIMDLevel.AVX2
 
 
-def test_benchmark_kernel_avx512_build(benchmark):
-    """Real kernel call through the dispatcher (numpy arithmetic)."""
-    import numpy as np
-
-    dispatcher = SimdDispatcher.for_cpu(XEON_PLATINUM_8269)
-    q = np.random.default_rng(0).normal(size=(64, DIM)).astype(np.float32)
-    x = np.random.default_rng(1).normal(size=(4096, DIM)).astype(np.float32)
-    benchmark(lambda: dispatcher.pairwise("l2", q, x))
-
-
 def main():
     print(f"=== Figure 12: modeled kernel time, batch={BATCH}, d={DIM} ===")
     rows = run_figure()

@@ -73,15 +73,6 @@ def test_real_mode_switch():
     assert ex.last_plan.mode == "gpu"
 
 
-def test_benchmark_sq8h_real_search(benchmark):
-    data = sift_like(4000, dim=32, seed=0)
-    index = IVFSQ8Index(32, nlist=32, seed=0)
-    index.train(data)
-    index.add(data)
-    ex = SQ8HExecutor(index=index, config=SQ8HConfig(batch_threshold=1000, nprobe=8))
-    benchmark(lambda: ex.search(data[:64], 10))
-
-
 def main():
     print(f"=== Figure 13: modeled, n={N:.0e}, d={DIM}, nlist={NLIST}, nprobe=64 ===")
     rows = run_figure()

@@ -5,19 +5,20 @@ flusher off the write path, an insert that lands on the freeze
 threshold pays an O(1) hand-off instead of segment persistence, so
 insert tail latency (p99) drops — while queries return bit-identical
 results, because the background engine seals the exact same frozen
-arrays the inline one does, in the same FIFO order.
-
-Writes ``BENCH_mixed_rw.json`` (schema v1, see repro.bench.report).
+arrays the inline one does, in the same FIFO order.  The checks assert
+the mechanism — which thread persists each flush — and the identical
+results; main prints the latencies.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.bench import emit_bench_json, print_table
+from repro.bench import print_table
 from repro.datasets import random_queries, sift_like
 from repro.storage import InMemoryObjectStore, LSMConfig, LSMManager, TieredMergePolicy
 
@@ -46,6 +47,14 @@ def build_lsm(background):
 def run_mode(background, data):
     """Ingest all batches, recording per-insert wall time; then query."""
     lsm = build_lsm(background)
+    flushed_on = []
+    flush = lsm._process_flush_locked
+
+    def recording_flush(fid):
+        flushed_on.append(threading.current_thread().name)
+        flush(fid)
+
+    lsm._process_flush_locked = recording_flush
     insert_seconds = []
     started = time.perf_counter()
     for b in range(BATCHES):
@@ -73,6 +82,7 @@ def run_mode(background, data):
             "merge_count": lsm.merge_count,
             "live_segments": len(lsm.manifest.live_segment_ids()),
         },
+        "flushed_on": flushed_on,
     }, result
 
 
@@ -104,26 +114,18 @@ def test_background_does_equivalent_flush_work(comparison):
     assert bg["counters"]["live_segments"] == inline["counters"]["live_segments"]
 
 
-def test_background_insert_tail_not_pathological(comparison):
-    """The p99 *improvement* is asserted on the committed baseline (see
-    BENCH_mixed_rw.json); a single-core CI runner can steal the bg
-    thread's time, so the hard gate here is only 'no regression blowup'."""
+def test_background_flushes_off_the_writer_thread(comparison):
+    """The insert p99 gain (printed by main) comes from here: inline,
+    the writer persists every segment itself; with the flusher on, it
+    persists none."""
     rows, __ = comparison
     inline, bg = rows
-    assert bg["p99"] < inline["p99"] * 1.5
+    writer = threading.current_thread().name
+    assert inline["flushed_on"] and set(inline["flushed_on"]) == {writer}
+    assert bg["flushed_on"] and set(bg["flushed_on"]) == {"lsm-flusher"}
 
 
-def test_benchmark_ingest_inline(benchmark):
-    data = sift_like(BATCHES * BATCH_ROWS, dim=DIM, seed=0)
-    benchmark(lambda: run_mode(False, data))
-
-
-def test_benchmark_ingest_background(benchmark):
-    data = sift_like(BATCHES * BATCH_ROWS, dim=DIM, seed=0)
-    benchmark(lambda: run_mode(True, data))
-
-
-def main(out_path: str = "BENCH_mixed_rw.json"):
+def main():
     print("=== Mixed read/write: inline vs background flush ===")
     print(f"  ({BATCHES} batches x {BATCH_ROWS} rows, dim={DIM}, "
           f"freeze every ~{FLUSH_BYTES // (BATCH_ROWS * DIM * 4)} batches)")
@@ -139,20 +141,6 @@ def main(out_path: str = "BENCH_mixed_rw.json"):
     inline, bg = rows
     print(f"  insert p99 background/inline: {bg['p99'] / inline['p99']:.2f}x")
     print(f"  query results bit-identical: {identical}")
-    emit_bench_json(
-        "mixed_rw",
-        workload={
-            "batches": BATCHES,
-            "batch_rows": BATCH_ROWS,
-            "dim": DIM,
-            "memtable_flush_bytes": FLUSH_BYTES,
-            "num_queries": NUM_QUERIES,
-            "k": K,
-        },
-        series=rows,
-        out_path=out_path,
-        bit_identical=identical,
-    )
 
 
 if __name__ == "__main__":

@@ -1,14 +1,10 @@
 """Table 1: system feature comparison.
 
 Regenerates the paper's feature matrix from live capability probes of
-each engine class built in this repo.  The benchmark measures each
-engine's fit cost on the shared workload (the "system readiness" cost
-behind the matrix).
+each engine class built in this repo.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.baselines import (
     CAPABILITY_KEYS,
@@ -19,8 +15,6 @@ from repro.baselines import (
     VearchLikeEngine,
 )
 from repro.bench import print_table
-
-from common import attribute_bundle
 
 #: engine factory per Table 1 row (paper row -> architectural stand-in).
 ENGINES = {
@@ -52,20 +46,6 @@ def test_every_baseline_misses_something():
         if row[0].startswith("Milvus"):
             continue
         assert "no" in row[1:], f"{row[0]} should lack at least one feature"
-
-
-@pytest.mark.parametrize("name", list(ENGINES))
-def test_fit_cost(benchmark, name):
-    data, attrs, __ = attribute_bundle()
-    subset = data[:4000]
-
-    def fit():
-        engine = ENGINES[name]()
-        engine.fit(subset, attrs[:4000])
-        return engine
-
-    engine = benchmark.pedantic(fit, rounds=1, iterations=1)
-    assert engine.memory_bytes() > 0
 
 
 def main():

@@ -1,25 +1,18 @@
 """Run every figure/table report in sequence.
 
-Usage:  python benchmarks/run_all.py [--only=mod1,mod2] [output_file]
+Usage:  python benchmarks/run_all.py [output_file]
 
 Prints each benchmark module's paper-style series (the same output the
 per-module ``python benchmarks/bench_*.py`` invocations give), in
-paper order, optionally teeing to a file.  ``--only`` restricts the
-run to a comma-separated subset of module names (with or without the
-``bench_`` prefix) — CI uses this to run a small profile.
-
-After the modules run, every ``BENCH_<name>.json`` they emitted (see
-:func:`repro.bench.emit_bench_json`) is combined into one
-``BENCH_report.json`` for ``tools/bench_compare.py`` to diff against a
-previous run.
+paper order, optionally writing them to a file instead.  The timings in
+the reports are report text: the served-path benchmark
+(``BENCHMARK.json``, ``benchmarks/e2e``) is what gates performance.
 """
 
 from __future__ import annotations
 
 import contextlib
-import glob
 import importlib
-import json
 import sys
 import time
 
@@ -43,14 +36,11 @@ MODULES = [
     "bench_obs_overhead",
 ]
 
-REPORT_PATH = "BENCH_report.json"
 
-
-def run_all(stream=None, only=None) -> None:
+def run_all(stream=None) -> None:
     out = stream or sys.stdout
-    modules = MODULES if only is None else _select(only)
     started = time.perf_counter()
-    for name in modules:
+    for name in MODULES:
         print(f"\n{'#' * 16} {name}", file=out)
         module = importlib.import_module(name)
         if stream is None:
@@ -59,58 +49,16 @@ def run_all(stream=None, only=None) -> None:
             with contextlib.redirect_stdout(out):
                 module.main()
     print(f"\nall reports done in {time.perf_counter() - started:.0f}s", file=out)
-    combine_reports(out)
-
-
-def _select(only) -> list:
-    wanted = []
-    for token in only.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        name = token if token.startswith("bench_") else f"bench_{token}"
-        if name not in MODULES:
-            raise SystemExit(f"unknown benchmark module {token!r}; "
-                             f"choose from {MODULES}")
-        wanted.append(name)
-    return wanted
-
-
-def combine_reports(out=sys.stdout, report_path: str = REPORT_PATH) -> dict:
-    """Merge all emitted BENCH_<name>.json files into one report."""
-    benchmarks = {}
-    for path in sorted(glob.glob("BENCH_*.json")):
-        if path == report_path:
-            continue
-        with open(path) as fh:
-            payload = json.load(fh)
-        benchmarks[payload.get("name", path[len("BENCH_"):-len(".json")])] = payload
-    report = {
-        "schema_version": 1,
-        "generated_by": "benchmarks/run_all.py",
-        "benchmarks": benchmarks,
-    }
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-    print(f"combined {len(benchmarks)} reports into {report_path}", file=out)
-    return report
 
 
 def main() -> None:
     sys.path.insert(0, __file__.rsplit("/", 1)[0])
-    only = None
-    args = []
-    for arg in sys.argv[1:]:
-        if arg.startswith("--only="):
-            only = arg[len("--only="):]
-        else:
-            args.append(arg)
-    if args:
-        with open(args[0], "w") as fh:
-            run_all(fh, only=only)
-        print(f"wrote {args[0]}")
+    if len(sys.argv) > 1:
+        with open(sys.argv[1], "w") as fh:
+            run_all(fh)
+        print(f"wrote {sys.argv[1]}")
     else:
-        run_all(only=only)
+        run_all()
 
 
 if __name__ == "__main__":

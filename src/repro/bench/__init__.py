@@ -1,27 +1,5 @@
-"""Benchmark harness utilities: timing, sweeps, and paper-style reports."""
+"""Paper-style report formatting for the figure/table benchmarks."""
 
-from repro.bench.runner import (
-    measure_throughput,
-    recall_throughput_curve,
-    CurvePoint,
-)
-from repro.bench.report import (
-    BENCH_SCHEMA_VERSION,
-    MEASUREMENT_KEYS,
-    emit_bench_json,
-    format_table,
-    print_series,
-    print_table,
-)
+from repro.bench.report import format_table, print_series, print_table
 
-__all__ = [
-    "measure_throughput",
-    "recall_throughput_curve",
-    "CurvePoint",
-    "print_table",
-    "print_series",
-    "format_table",
-    "emit_bench_json",
-    "BENCH_SCHEMA_VERSION",
-    "MEASUREMENT_KEYS",
-]
+__all__ = ["print_table", "print_series", "format_table"]

@@ -142,7 +142,8 @@ class RestRouter:
         obs = get_obs()
         with obs.tracer.span("rest.request", method=method.upper(), path=path):
             started = time.perf_counter()
-            response = self._dispatch(method, path, body or {}, query)
+            response = self._dispatch(
+                method, path, {} if body is None else body, query)
             elapsed = time.perf_counter() - started
         obs.registry.counter(
             "rest_requests_total", method=method.upper(), status=response.status
@@ -158,6 +159,10 @@ class RestRouter:
                 continue
             match = pattern.match(path)
             if match:
+                if not isinstance(body, dict):
+                    return RestResponse(400, {
+                        "error": "request body must be a JSON object, "
+                                 f"got {type(body).__name__}"})
                 try:
                     return handler(body, query, **match.groupdict())
                 except RetryExhaustedError as exc:
@@ -218,8 +223,11 @@ class RestRouter:
 
     @staticmethod
     def _parse_filter(filter_spec):
-        if filter_spec is None:
-            return None
+        """The body's ``filter`` object as a Collection filter tuple;
+        anything else goes through unchanged for the collection to
+        refuse (:meth:`Collection._check_filter`)."""
+        if not isinstance(filter_spec, dict):
+            return filter_spec
         if "op" in filter_spec:
             # categorical: {"attribute": "color", "op": "in"|"==",
             #               "values": [...]} (single value for "==")
@@ -228,11 +236,7 @@ class RestRouter:
             if op == "==" and isinstance(values, list):
                 values = values[0]
             return (filter_spec["attribute"], op, values)
-        return (
-            filter_spec["attribute"],
-            float(filter_spec["low"]),
-            float(filter_spec["high"]),
-        )
+        return (filter_spec["attribute"], filter_spec["low"], filter_spec["high"])
 
     @staticmethod
     def _search_params(body: dict) -> dict:

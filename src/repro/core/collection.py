@@ -26,6 +26,7 @@ concurrent callers, never from a pool inside one request
 
 from __future__ import annotations
 
+import math
 import operator
 import threading
 import time
@@ -140,6 +141,11 @@ class Collection:
         if self._planner is not None:
             self._lsm.persist_planner_state(self._planner.to_dict())
 
+    def close(self) -> None:
+        """Stop the collection's background threads once their queued
+        work is done (:meth:`LSMManager.close`)."""
+        self._lsm.close()
+
     def _split_payload(self, data: Dict[str, np.ndarray]):
         specs = self.schema.vector_specs()
         attr_names = self.schema.attribute_names()
@@ -228,6 +234,8 @@ class Collection:
           inverted-list / bitmap categorical indexes.
         """
         queries, k = self._check_search(field, queries, k, snapshot, search_params)
+        if filter is not None:
+            filter = self._check_filter(filter)
         obs = get_obs()
         # explain always gets its own profile; otherwise profile every
         # top-level search when observability is on (nested searches —
@@ -315,6 +323,42 @@ class Collection:
                 f"snapshot must come from LSMManager.snapshot(), got {snapshot!r}"
             )
         return queries, k
+
+    def _check_filter(self, filter) -> AttributeFilter:
+        """Refuse a filter that cannot mean anything, naming ``filter``.
+
+        Beside :meth:`_check_search` because the SDK and the REST router
+        both arrive here.  A filter is ``(attribute, low, high)`` with
+        finite bounds and ``low <= high`` — an inverted or NaN range
+        would otherwise come back as an empty ``200`` — or a categorical
+        ``(field, op, values)``; nothing else that unpacks into three (a
+        string, a dict).  Returns range bounds as floats.
+        """
+        if not isinstance(filter, (tuple, list)) or len(filter) != 3:
+            raise InvalidQueryError(
+                "filter must be (attribute, low, high) or (field, op, values), "
+                f"got {filter!r}"
+            )
+        name, low, high = filter
+        if not isinstance(name, str):
+            raise InvalidQueryError(f"filter attribute must be a name, got {name!r}")
+        if self.schema.has_categorical(name):
+            return name, low, high
+        try:
+            low, high = float(low), float(high)
+        except (TypeError, ValueError):
+            raise InvalidQueryError(
+                f"filter bounds on {name!r} must be numbers, got {low!r} and {high!r}"
+            ) from None
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise InvalidQueryError(
+                f"filter bounds on {name!r} must be finite, got [{low}, {high}]"
+            )
+        if low > high:
+            raise InvalidQueryError(
+                f"filter range on {name!r} is inverted: low {low} > high {high}"
+            )
+        return name, low, high
 
     def _search_impl(
         self,
@@ -637,6 +681,7 @@ class Collection:
         The classic "SELECT id WHERE price < 100" path, served entirely
         from attribute/categorical indexes.
         """
+        filter = self._check_filter(filter)
         snap = self._lsm.snapshot()
         try:
             rows = self._filter_rows(filter, snap)

@@ -70,7 +70,7 @@ class MilvusLite:
     def drop_collection(self, name: str) -> None:
         if name not in self._collections:
             raise CollectionNotFoundError(name)
-        del self._collections[name]
+        self._collections.pop(name).close()
         # release the dropped name's usage record (bounded-name budget)
         get_obs().usage.forget(name)
 

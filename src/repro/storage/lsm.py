@@ -265,12 +265,13 @@ class LSMManager:
         #: asynchronously).
         self._index_specs: Dict[int, Dict[str, tuple]] = {}
         self._index_queue: Optional["queue.Queue"] = None
+        self._index_builder: Optional[threading.Thread] = None
         if self.config.async_index_build:
             self._index_queue = queue.Queue()
-            worker = threading.Thread(
+            self._index_builder = threading.Thread(
                 target=self._index_builder_loop, name="index-builder", daemon=True
             )
-            worker.start()
+            self._index_builder.start()
 
     def _new_memtable(self) -> MemTable:
         return MemTable(
@@ -527,11 +528,16 @@ class LSMManager:
             self._work.join()
 
     def close(self) -> None:
-        """Stop the background flusher (pending work is completed first)."""
+        """Stop the background flusher, then the index builder, each
+        after the work queued before it (a flush may queue builds)."""
         if self._flusher is not None:
             self._work.put(self._SHUTDOWN)
             self._flusher.join()
             self._flusher = None
+        if self._index_builder is not None:
+            self._index_queue.put(self._SHUTDOWN)
+            self._index_builder.join()
+            self._index_builder = None
 
     def _raise_bg_crash_locked(self) -> None:
         assert_guarded(self._lock, "LSMManager", "_bg_crash")
@@ -903,8 +909,11 @@ class LSMManager:
         correct (Sec. 5.1's asynchronous index building).
         """
         while True:
-            seg_id, fieldname = self._index_queue.get()
+            item = self._index_queue.get()
             try:
+                if item is self._SHUTDOWN:
+                    return
+                seg_id, fieldname = item
                 if seg_id not in self.manifest.live_segment_ids():
                     continue  # segment merged away while queued
                 segment = self.bufferpool.get(seg_id)

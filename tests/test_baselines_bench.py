@@ -11,8 +11,7 @@ from repro.baselines import (
     SPTAGLikeEngine,
     VearchLikeEngine,
 )
-from repro.bench import format_table, measure_throughput, recall_throughput_curve
-from repro.index import IVFFlatIndex
+from repro.bench import format_table
 from repro.datasets import (
     deep_like,
     exact_ground_truth,
@@ -170,22 +169,6 @@ class TestDatasets:
 
 
 class TestBenchUtils:
-    def test_measure_throughput(self):
-        qps = measure_throughput(lambda q: None, np.zeros((100, 4)))
-        assert qps > 0
-
-    def test_recall_throughput_curve(self, bench_setup):
-        data, __, queries, truth = bench_setup
-        index = IVFFlatIndex(16, nlist=16, seed=0)
-        index.train(data)
-        index.add(data)
-        points = recall_throughput_curve(
-            index.search, queries, truth, 10,
-            [{"nprobe": 1}, {"nprobe": 16}],
-        )
-        assert len(points) == 2
-        assert points[1].recall >= points[0].recall
-
     def test_format_table(self):
         text = format_table(["a", "bb"], [[1, 2.5], ["x", "y"]], title="T")
         assert "T" in text and "bb" in text and "2.5" in text

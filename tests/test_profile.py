@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.bench import MEASUREMENT_KEYS, emit_bench_json
 from repro.client import RestRouter
 from repro.core import (
     AttributeField,
@@ -45,8 +44,6 @@ from repro.obs.profile import (
     profile_stage,
 )
 from repro.storage import LSMConfig, TieredMergePolicy
-
-from tools import bench_compare
 
 
 @pytest.fixture()
@@ -397,62 +394,3 @@ class TestPerIndexCounters:
             assert runs[0]["heap_pushes"] > 0
         if name.startswith("IVF"):
             assert runs[0]["buckets_probed"] > 0
-
-
-# -- bench emitter + regression gate ---------------------------------------
-
-
-class TestBenchTrajectory:
-    def test_emit_bench_json_schema(self, tmp_path):
-        out = tmp_path / "BENCH_demo.json"
-        payload = emit_bench_json(
-            "demo", workload={"n": 10},
-            series=[{"mode": "serial", "qps": np.float64(12.5),
-                     "counters": {"rows_scanned": np.int64(10)}}],
-            out_path=str(out),
-        )
-        on_disk = json.loads(out.read_text())
-        assert on_disk["schema_version"] == 1
-        assert on_disk["name"] == "demo"
-        assert on_disk["series"][0]["qps"] == 12.5      # numpy scalars coerced
-        assert on_disk["series"][0]["counters"]["rows_scanned"] == 10
-        assert payload["workload"] == {"n": 10}
-        assert "qps" in MEASUREMENT_KEYS and "mode" not in MEASUREMENT_KEYS
-
-    @staticmethod
-    def _report(tmp_path, filename, qps, counters=None):
-        payload = {
-            "schema_version": 1,
-            "benchmarks": {
-                "demo": {
-                    "name": "demo",
-                    "series": [{
-                        "mode": "serial", "qps": qps,
-                        "counters": counters or {"rows_scanned": 100},
-                    }],
-                },
-            },
-        }
-        path = tmp_path / filename
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_compare_fails_on_25pct_slowdown(self, tmp_path, capsys):
-        old = self._report(tmp_path, "old.json", qps=100.0)
-        new = self._report(tmp_path, "new.json", qps=75.0)
-        assert bench_compare.main([old, new, "--threshold", "0.20"]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_compare_passes_within_threshold_and_self(self, tmp_path):
-        old = self._report(tmp_path, "old.json", qps=100.0)
-        new = self._report(tmp_path, "new.json", qps=90.0)
-        assert bench_compare.main([old, new, "--threshold", "0.20"]) == 0
-        assert bench_compare.main([old, old]) == 0
-
-    def test_counter_drift_warns_but_passes(self, tmp_path, capsys):
-        old = self._report(tmp_path, "old.json", qps=100.0,
-                           counters={"rows_scanned": 100})
-        new = self._report(tmp_path, "new.json", qps=100.0,
-                           counters={"rows_scanned": 250})
-        assert bench_compare.main([old, new]) == 0
-        assert "WARN" in capsys.readouterr().out

@@ -275,6 +275,89 @@ class TestSearchRequestValidation:
         assert client.search("c", "v", np.zeros(4), np.int64(2))[0][0][0] in range(4)
 
 
+class TestFilterAndBodyValidation:
+    """A filter or body of the wrong shape is a 400 naming the caller's
+    mistake, not an empty 200 or a Python internal; SDK callers get
+    the same refusal from ``Collection``."""
+
+    @pytest.fixture()
+    def router(self, data):
+        router = RestRouter()
+        router.handle("POST", "/collections", {
+            "name": "d", "vector_fields": [{"name": "v", "dim": 8}],
+            "attribute_fields": ["price"],
+        })
+        router.handle("POST", "/collections/d/entities", {
+            "data": {"v": data[:50].tolist(), "price": np.linspace(0, 1, 50).tolist()},
+        })
+        router.handle("POST", "/flush", {"collection": "d"})
+        return router
+
+    def search(self, router, filter):
+        return router.handle("POST", "/collections/d/search", {
+            "field": "v", "queries": [[0.0] * 8], "k": 3, "filter": filter,
+        })
+
+    @pytest.mark.parametrize("filter,named", [
+        ({"attribute": "price", "low": 0.9, "high": 0.1}, "inverted"),  # was 200, no hits
+        ({"attribute": "price", "low": float("nan"), "high": 1}, "finite"),  # ditto
+        ({"attribute": "price", "low": 0, "high": float("inf")}, "finite"),
+        ({"attribute": "price", "low": "cheap", "high": 1}, "numbers"),
+        ("price > 3", "filter"),  # was "string indices must be integers"
+        (["price", 0.1], "filter"),
+        ({"attribute": 7, "low": 0, "high": 1}, "filter"),
+    ])
+    def test_bad_filter_refused_naming_filter(self, router, filter, named):
+        resp = self.search(router, filter)
+        assert resp.status == 400
+        assert "filter" in resp.body["error"] and named in resp.body["error"]
+
+    def test_good_filters_still_answer(self, router):
+        resp = self.search(router, {"attribute": "price", "low": 0.5, "high": 0.5})
+        assert resp.ok
+        resp = self.search(router, ["price", 0.0, 0.2])
+        assert resp.ok and len(resp.body["hits"][0]) == 3
+
+    @pytest.mark.parametrize("body,kind", [([1, 2], "list"), (5, "int"), ("x", "str")])
+    def test_non_object_body_names_the_body(self, router, body, kind):
+        resp = router.handle("POST", "/collections/d/search", body)
+        assert resp.status == 400
+        assert resp.body["error"] == f"request body must be a JSON object, got {kind}"
+
+    def test_sdk_gets_the_same_refusal(self, router):
+        client = router.client
+        for bad in [("price", 0.9, 0.1), ("price", float("nan"), 1.0), "abc",
+                    {"attribute": "price"}]:
+            with pytest.raises(InvalidQueryError, match="filter"):
+                client.search("d", "v", np.zeros(8), 3, filter=bad)
+        with pytest.raises(InvalidQueryError, match="inverted"):
+            router.client.server.get_collection("d").query(("price", 1.0, 0.0))
+
+
+class TestDropStopsBackgroundThreads:
+    """Dropping a collection stops the threads it started."""
+
+    @pytest.mark.parametrize("lsm", [
+        LSMConfig(background=True),
+        LSMConfig(async_index_build=True, index_build_min_rows=10,
+                  index_params={"nlist": 4}),
+    ])
+    def test_threads_return_to_before_create(self, data, lsm):
+        # threads, not names: other tests' collections may run
+        # same-named threads for as long as they live
+        before = set(threading.enumerate())
+        router = RestRouter(MilvusLite(ServerConfig(lsm=lsm)))
+        router.handle("POST", "/collections", {
+            "name": "d", "vector_fields": [{"name": "v", "dim": 8}],
+        })
+        router.handle("POST", "/collections/d/entities", {"data": {"v": data.tolist()}})
+        router.handle("POST", "/flush", {"collection": "d"})
+        started = {t.name for t in set(threading.enumerate()) - before}
+        assert started & {"lsm-flusher", "index-builder"}
+        assert router.handle("DELETE", "/collections/d").ok
+        assert not set(threading.enumerate()) - before
+
+
 class TestSearchParamsAreKnobsOnly:
     """``params`` carries index knobs; an argument of the SDK or of the
     engine below it is refused by name, and nothing in it starts a
