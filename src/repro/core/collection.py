@@ -52,7 +52,7 @@ from repro.storage.filesystem import FileSystem
 from repro.storage.manifest import Snapshot
 from repro.utils import sorted_membership
 from repro.utils.sanitizer import maybe_sanitize
-from repro.utils.validation import ensure_int_ids
+from repro.utils.validation import ensure_int_ids, ensure_positive_int
 
 #: an attribute range filter: (attribute_name, low, high), inclusive.
 AttributeFilter = Tuple[str, float, float]
@@ -61,11 +61,6 @@ AttributeFilter = Tuple[str, float, float]
 #: footnote 5), and where the multi-vector merge stops widening its k'.
 #: What a request can make the engine allocate is ``nq`` times it.
 MAX_TOPK = 16384
-
-#: what :meth:`LSMManager.search` takes as its own arguments, or tells
-#: an index itself — never a knob a caller's search params may name.
-_ENGINE_ARGUMENTS = ("brute_force", "row_filter", "hidden", "collector")
-
 
 def _ensure_finite(values: np.ndarray, label: str) -> None:
     """Refuse NaN/inf: the WAL would replay them on every recovery."""
@@ -293,15 +288,25 @@ class Collection:
         REST router both arrive here — so nothing below it sees an
         unknown field, a ``k`` it cannot allocate for, queries of the
         wrong shape or with NaN/infinite entries (which would otherwise
-        come back as an empty ``200``), or a search param that is an
-        argument of the engine rather than an index knob.  Returns the
-        queries as an ``(nq, dim)`` float32 matrix and ``k`` as an
-        ``int``.
+        come back as an empty ``200``), or a search param that is not a
+        knob of the collection's index type (an argument of the engine
+        is not one) or is not a positive integer — checked the same
+        whether or not any segment is indexed yet.  Returns the queries
+        as an ``(nq, dim)`` float32 matrix and ``k`` as an ``int``.
         """
-        for name in _ENGINE_ARGUMENTS:
-            if name in search_params:
-                raise InvalidQueryError(f"unknown search param {name!r}")
         dim = self.schema.vector_field(field).dim
+        if search_params:
+            knobs = self._lsm.search_knobs(field)
+            for key, value in search_params.items():
+                if key not in knobs:
+                    raise InvalidQueryError(
+                        f"params.{key}: unknown search param {key!r} (index "
+                        f"knobs of {field!r}: {sorted(knobs)})"
+                    )
+                try:
+                    ensure_positive_int(value, f"params.{key}")
+                except ValueError as exc:
+                    raise InvalidQueryError(str(exc)) from None
         try:
             k = operator.index(k)
         except TypeError:

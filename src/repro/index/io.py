@@ -5,9 +5,10 @@ deployments skip the (k-means) rebuild on restart.  Graph and tree
 indexes are rebuilt instead — their construction is the index, and
 Milvus likewise rebuilds asynchronously (Sec. 5.1).
 
-Format: one uncompressed npz blob with a JSON ``meta`` entry, readable
-by ``np.load`` (zlib saved 9 % of an IVF_FLAT blob for 35x the write
-time).  IVF lists are stored as their three CSR arrays (``offsets``,
+Format: one uncompressed npz blob with a JSON ``meta`` entry, written
+by the writer segments use too (:func:`repro.utils.npz.npz_bytes`) and
+read by ``np.load`` (zlib saved 9 % of an IVF_FLAT blob for 35x the
+write time).  IVF lists are stored as their three CSR arrays (``offsets``,
 ``ids``, ``codes``); blobs from before that layout — one ``ids__<b>`` /
 ``codes__<b>`` pair per bucket, zlib-compressed — still load.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import io
 import json
-import zipfile
 from typing import Dict
 
 import numpy as np
@@ -28,6 +28,7 @@ from repro.index.ivf_common import IVFIndexBase
 from repro.index.ivf_flat import IVFFlatIndex
 from repro.index.ivf_pq import IVFOPQIndex, IVFPQIndex
 from repro.index.ivf_sq8 import IVFSQ8Index
+from repro.utils.npz import npz_bytes
 
 SERIALIZABLE_TYPES = ("FLAT", "BIN_FLAT", "IVF_FLAT", "IVF_SQ8", "IVF_PQ", "IVF_OPQ")
 
@@ -73,27 +74,7 @@ def index_to_bytes(index: VectorIndex) -> bytes:
             arrays["opq_rotation"] = index.rotation
 
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    return _npz_bytes(arrays)
-
-
-def _npz_bytes(arrays: Dict[str, np.ndarray]) -> bytes:
-    """An uncompressed ``.npz`` of ``arrays``, as ``np.savez`` lays it out.
-
-    ``np.savez`` copies each array through ``tobytes()`` on its way into
-    the zip; for the codes of a 30k x 64 IVF_FLAT that transient copy is
-    7.3 MiB of peak RSS (+4 %).  Here each array's buffer is written
-    straight into its entry.
-    """
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", allowZip64=True) as archive:
-        for name, array in arrays.items():
-            array = np.ascontiguousarray(array)
-            with archive.open(name + ".npy", "w", force_zip64=True) as entry:
-                np.lib.format.write_array_header_1_0(
-                    entry, np.lib.format.header_data_from_array_1_0(array)
-                )
-                entry.write(array.reshape(-1).view(np.uint8))
-    return buf.getvalue()
+    return npz_bytes(arrays)
 
 
 def index_from_bytes(blob: bytes) -> VectorIndex:

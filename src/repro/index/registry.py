@@ -68,6 +68,11 @@ def resolved_index_params(index_type: str, params: Dict[str, object]) -> Dict[st
     return resolved
 
 
+def search_params_of(index_type: str) -> frozenset:
+    """The per-call search parameters the registered class honors."""
+    return _registered(index_type).SEARCH_PARAMS
+
+
 def available_index_types() -> List[str]:
     """Names of every registered index type."""
     return sorted(_REGISTRY)

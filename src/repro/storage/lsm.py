@@ -62,7 +62,7 @@ import numpy as np
 from repro.exec import QueryExecutor
 from repro.index.base import SearchResult
 from repro.index.ivf_common import DEFAULT_NLIST, DEFAULT_NPROBE, probes_query_major
-from repro.index.registry import resolved_index_params
+from repro.index.registry import resolved_index_params, search_params_of
 from repro.metrics import get_metric
 from repro.obs import get_obs
 from repro.obs import events as obs_events
@@ -77,6 +77,10 @@ from repro.storage.segment import Segment, VectorSpecs
 from repro.storage.wal import WriteAheadLog
 from repro.utils import TopKCollector, merge_topk_batch
 from repro.utils.sanitizer import assert_guarded, maybe_sanitize
+
+#: search params this layer tells an index itself — never a knob a
+#: caller may set
+_TOLD_TO_INDEXES = frozenset({"row_filter", "hidden", "collector"})
 
 
 @dataclass
@@ -966,6 +970,18 @@ class LSMManager:
             count += 1
         return count
 
+    def search_knobs(self, field: str) -> frozenset:
+        """Search params a request over ``field`` may set: those of the
+        configured index type and of every type :meth:`build_index` put
+        on a segment, less what this layer tells an index itself."""
+        with self._index_lock:
+            built = {specs[field][0] for specs in self._index_specs.values()
+                     if field in specs}
+        knobs = set()
+        for itype in built | {self.config.index_type}:
+            knobs |= search_params_of(itype)
+        return frozenset(knobs - _TOLD_TO_INDEXES)
+
     def _resolved_index_spec(self, seg_id: int, field: str) -> Optional[tuple]:
         """(type, resolved parameters) the segment's index was built with."""
         with self._index_lock:
@@ -1059,8 +1075,8 @@ class LSMManager:
         Either way the scans run one after another on the calling
         thread (see ``repro.exec``).
         """
-        for name in ("hidden", "collector"):
-            if name in search_params:  # what this layer tells an index
+        for name in _TOLD_TO_INDEXES:
+            if name in search_params:
                 raise TypeError(f"unknown search param {name!r}")
         obs = get_obs()
         metric = get_metric(self.vector_specs[field][1])
@@ -1199,6 +1215,9 @@ class LSMManager:
         return {
             "live_segments": len(segments),
             "live_rows": self.num_live_rows,
+            # bytes of the live segment files, from the catalog: what
+            # storing blobs without deflate costs in space shows here
+            "stored_bytes": sum(self.manifest.live_segment_sizes().values()),
             "unflushed_rows": self.unflushed_rows,
             "frozen_memtables": frozen_pending,
             "background": self.background,

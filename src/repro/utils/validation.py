@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -11,6 +13,23 @@ def ensure_positive(value: int, name: str) -> int:
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
+
+
+def ensure_positive_int(value, name: str) -> int:
+    """Validate that ``value`` is an integer above zero and return it.
+
+    Unlike :func:`ensure_positive`, nothing is coerced: ``1.5``, ``"8"``
+    and ``True`` are refused rather than truncated, parsed or counted.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}") from None
+    if number <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {number}")
+    return number
 
 
 def ensure_matrix(arr: np.ndarray, name: str, dtype=np.float32) -> np.ndarray:

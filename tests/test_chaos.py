@@ -245,6 +245,14 @@ def _bg_workload(lsm, rng, acked):
     into): segment writes #1/#2 are flushes, #3 is the first compaction
     output, #4 another flush, #5+ the second compaction round; manifest
     writes follow each commit; WAL deletes are the per-flush checkpoints.
+
+    The second round exists only if flush #4 lands in the merged
+    output's size tier (``merge_factor=2``, tiers a factor of 4 apart).
+    Both blobs are laid out from their row count alone — the same
+    arrays of the same shapes; only the meta JSON's digits differ — so
+    flush #4 carries exactly the 50 rows the first merge keeps (60
+    flushed, 10 deleted): equal row counts, equal sizes, one tier,
+    whatever the blob format costs per row.
     """
     for start in (0, 30):
         ids, vecs, attrs = batch(rng, np.arange(start, start + 30))
@@ -255,7 +263,7 @@ def _bg_workload(lsm, rng, acked):
     acked.difference_update(range(10))
     lsm.flush()
     lsm.maybe_merge()  # background compaction: segment write #3
-    ids, vecs, attrs = batch(rng, np.arange(60, 90))
+    ids, vecs, attrs = batch(rng, np.arange(60, 110))  # as many rows as #3 kept
     lsm.insert(ids, vecs, attrs)
     acked.update(int(i) for i in ids)
     lsm.flush()  # segment write #4

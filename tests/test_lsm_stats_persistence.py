@@ -1,9 +1,12 @@
 """LSM stats API and persisted-index loading."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.storage import InMemoryObjectStore, LSMConfig, LSMManager, TieredMergePolicy
+from repro.storage.filesystem import LocalFileSystem
 from repro.datasets import sift_like
 
 SPECS = {"emb": (16, "l2")}
@@ -37,6 +40,28 @@ class TestStats:
         assert stats["tombstones"] == 2
         assert stats["flush_count"] == 2
         assert stats["manifest_version"] >= 2
+
+    def test_stored_bytes_are_the_live_segment_files(self, tmp_path):
+        lsm = make_lsm(LocalFileSystem(str(tmp_path)))
+        assert lsm.stats()["stored_bytes"] == 0
+        data = sift_like(300, dim=16, seed=2)
+        segment_dir = tmp_path / "segments"
+
+        def on_disk():
+            names = os.listdir(segment_dir)
+            return len(names), sum(os.path.getsize(segment_dir / n) for n in names)
+
+        for lo in (0, 100, 200):
+            lsm.insert(np.arange(lo, lo + 100), {"emb": data[lo:lo + 100]})
+            lsm.flush()
+        stats = lsm.stats()
+        assert (stats["live_segments"], stats["stored_bytes"]) == on_disk()
+        assert stats["live_segments"] == 3
+        assert lsm.maybe_merge() >= 1
+        lsm.flush()  # drains the merged-away inputs' files
+        stats = lsm.stats()
+        assert (stats["live_segments"], stats["stored_bytes"]) == on_disk()
+        assert stats["live_segments"] < 3
 
     def test_indexed_segments_counted(self):
         lsm = make_lsm()

@@ -1,10 +1,15 @@
 """Segments: columnar layout, search, merge, serialization."""
 
+import io
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.storage import Segment
 from repro.storage.attributes import AttributeColumn
+from repro.storage.categorical import CategoricalColumn
 from repro.datasets import sift_like
 
 SPECS = {"emb": (16, "l2")}
@@ -308,3 +313,73 @@ class TestSegmentSerialization:
         )
         r2 = restored.search("emb", data[:3], 5)
         np.testing.assert_array_equal(r1.ids, r2.ids)
+
+
+def deflated_blob(segment) -> bytes:
+    """The zlib-compressed npz ``Segment.to_bytes`` used to write."""
+    meta = {
+        "segment_id": segment.segment_id,
+        "version": segment.version,
+        "vector_specs": {k: list(v) for k, v in segment.vector_specs.items()},
+        "attributes": sorted(segment.attributes),
+        "categoricals": sorted(segment.categoricals),
+        "bloom": {"k": segment.bloom.k, "m": segment.bloom.m},
+    }
+    arrays = {"row_ids": segment.row_ids, "bloom_bits": segment.bloom.bits}
+    for name, mat in segment.vectors.items():
+        arrays[f"vec__{name}"] = mat
+    for name, col in segment.attributes.items():
+        arrays[f"attr_keys__{name}"] = col.keys
+        arrays[f"attr_rows__{name}"] = col.row_ids
+    for name, col in segment.categoricals.items():
+        arrays[f"cat__{name}"] = col.codes
+    buf = io.BytesIO()
+    np.savez_compressed(
+        buf, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        **arrays)
+    return buf.getvalue()
+
+
+class TestBlobFormat:
+    @pytest.fixture
+    def full(self, seg):
+        """A segment with every kind of column: vectors, a numeric
+        attribute, a categorical and its bloom filter."""
+        segment, data, prices = seg
+        codes = np.arange(len(data)) % 5
+        return Segment(
+            7, segment.row_ids, {"emb": data},
+            {"price": AttributeColumn(prices, segment.row_ids)}, SPECS,
+            version=3,
+            categoricals={"color": CategoricalColumn(codes, segment.row_ids)},
+        )
+
+    def test_deflated_blob_still_loads(self, full):
+        restored = Segment.from_bytes(deflated_blob(full))
+        assert (restored.segment_id, restored.version) == (7, 3)
+        assert restored.vector_specs == full.vector_specs
+        np.testing.assert_array_equal(restored.row_ids, full.row_ids)
+        np.testing.assert_array_equal(restored.vectors["emb"], full.vectors["emb"])
+        got, want = restored.attributes["price"], full.attributes["price"]
+        np.testing.assert_array_equal(got.keys, want.keys)
+        np.testing.assert_array_equal(got.row_ids, want.row_ids)
+        np.testing.assert_array_equal(
+            restored.categoricals["color"].codes, full.categoricals["color"].codes)
+        assert (restored.bloom.k, restored.bloom.m) == (full.bloom.k, full.bloom.m)
+        np.testing.assert_array_equal(restored.bloom.bits, full.bloom.bits)
+
+    def test_new_blob_entries_are_stored(self, full):
+        with zipfile.ZipFile(io.BytesIO(full.to_bytes())) as archive:
+            entries = archive.infolist()
+        assert {e.filename for e in entries} >= {
+            "meta.npy", "row_ids.npy", "vec__emb.npy", "cat__color.npy",
+            "bloom_bits.npy"}
+        assert {e.compress_type for e in entries} == {zipfile.ZIP_STORED}
+
+    def test_segments_and_indexes_share_one_writer(self):
+        from repro.index import io as index_io
+        from repro.storage import segment as segment_module
+        from repro.utils.npz import npz_bytes
+
+        assert segment_module.npz_bytes is npz_bytes
+        assert index_io.npz_bytes is npz_bytes

@@ -432,6 +432,68 @@ class TestSearchParamsAreKnobsOnly:
                 client.search("c", "v", np.zeros(4), 1, **{name: True})
 
 
+class TestKnobValues:
+    """Index knobs are checked by name and value in the collection,
+    before any snapshot: the same ``400``, naming ``params.<key>``,
+    whether or not a segment has its index yet."""
+
+    BAD = {
+        "not-a-number": {"nprobe": "x"},
+        "unknown-name": {"bogus": 1},
+        "negative": {"nprobe": -3},
+        "zero": {"nprobe": 0},
+        "fraction": {"nprobe": 1.5},
+        "boolean": {"nprobe": True},
+    }
+
+    @pytest.fixture()
+    def router(self):
+        router = RestRouter()
+        router.handle("POST", "/collections", {
+            "name": "c", "vector_fields": [{"name": "v", "dim": 8}]})
+        router.handle("POST", "/collections/c/entities", {
+            "data": {"v": np.random.default_rng(0).random((50, 8)).tolist()}})
+        router.handle("POST", "/flush", {"collection": "c"})
+        return router
+
+    @staticmethod
+    def search(router, params):
+        return router.handle("POST", "/collections/c/search", {
+            "field": "v", "queries": [[0.5] * 8], "k": 3, "params": params})
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_same_400_before_and_after_the_index(self, router, case):
+        params = self.BAD[case]
+        (key,) = params
+        before = self.search(router, params)
+        assert router.handle("POST", "/collections/c/index", {
+            "field": "v", "index_type": "IVF_FLAT", "params": {"nlist": 4}}).ok
+        after = self.search(router, params)
+        assert before.status == after.status == 400
+        assert f"params.{key}" in before.body["error"]
+        assert before.body == after.body
+
+    def test_a_positive_integer_knob_is_served(self, router):
+        assert self.search(router, {"nprobe": 2}).ok
+        assert self.search(router, {"nprobe": np.int64(2)}).ok
+        assert self.search(router, {}).ok
+
+    def test_refused_before_a_snapshot_is_taken(self, router, monkeypatch):
+        lsm = router.client.server.get_collection("c").lsm
+        monkeypatch.setattr(lsm, "snapshot", lambda: pytest.fail("snapshot taken"))
+        for params in self.BAD.values():
+            assert self.search(router, params).status == 400
+
+    def test_knobs_of_a_built_index_type_are_accepted(self, router):
+        """A collection configured for IVF_FLAT that was given an HNSW
+        index takes ``ef`` too."""
+        assert self.search(router, {"ef": 16}).status == 400
+        assert router.handle("POST", "/collections/c/index", {
+            "field": "v", "index_type": "HNSW", "params": {"M": 4}}).ok
+        assert self.search(router, {"ef": 16}).ok
+        assert self.search(router, {"ef": 0}).status == 400
+
+
 class TestStatsFlags:
     """``GET /stats`` reports the switches in effect, however they
     were turned on."""
