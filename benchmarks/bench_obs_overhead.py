@@ -12,9 +12,9 @@ qps (CI's observability job runs it so):
   SIFT-like bundle, nprobe sweep.  Exercises the kernel-layer hooks
   (norm cache counters, heterogeneous dispatch).
 * ``served`` — the embedded-server path: ``Collection.search`` over
-  an LSM collection, where obs-on additionally builds a
-  :class:`~repro.obs.profile.QueryProfile` per query batch, records
-  per-collection usage, traces, and feeds the slow-query log.
+  an LSM collection, where obs-on additionally keeps one span tree
+  (:mod:`repro.obs.profile`) per query batch, records per-collection
+  usage, and feeds the slow-query log.
 
 Measurement design: every instrumented call site fetches the active
 handle per call (``obs.get_obs()``), so one engine object can be timed
@@ -69,7 +69,7 @@ def _reenable(handle) -> None:
     """Turn obs back on with ``handle``'s original components, so
     state (registry, journal, usage) accumulates across on-samples."""
     obs.enable(
-        registry=handle.registry, tracer=handle.tracer,
+        registry=handle.registry,
         slow_query_log=handle.slow_query_log, profiler=handle.profiler,
         events=handle.events, jobs=handle.jobs, health=handle.health,
         usage=handle.usage,
@@ -127,7 +127,7 @@ def run_kernel_surface(handle, bundle, pairs) -> list:
 
 
 def run_served_surface(handle, bundle, pairs) -> list:
-    """Embedded-server path: Collection.search (profiles/usage/traces)."""
+    """Embedded-server path: Collection.search (span trees/usage)."""
     data, queries, _ = bundle
     data = data[:SERVED_ROWS]
     queries = queries[:SERVED_QUERIES]

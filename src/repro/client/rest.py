@@ -19,10 +19,10 @@ POST     /collections/{name}/index           build index
 POST     /explain                            EXPLAIN/ANALYZE one search
 POST     /flush                              flush one or all collections
 GET      /metrics                            Prometheus text exposition
-GET      /traces                             known trace ids
-GET      /traces/{trace_id}                  one query's span tree
-GET      /profiles                           retained profile trace ids
-GET      /profiles/{trace_id}                one query's work profile
+GET      /traces                             kept trace ids, newest first
+GET      /traces/{trace_id}                  one request's span tree
+GET      /profiles                           same as /traces
+GET      /profiles/{trace_id}                same as /traces/{trace_id}
 GET      /slowlog                            slow-query ring buffer
 GET      /events                             operational event journal
 GET      /jobs                               background-job registry
@@ -35,6 +35,11 @@ The observability routes read the process-global handle from
 :mod:`repro.obs`; with observability disabled ``/metrics`` returns the
 placeholder comment, ``/traces`` is empty, and ``/health`` reports
 ``"unknown"``.
+
+``/traces`` and ``/profiles`` are two names for one store: the span
+trees (stage timings + exact work counters) that
+:mod:`repro.obs.profile` keeps, one per root stage — for a request,
+its ``rest.request`` stage.
 
 List-shaped routes (``/slowlog``, ``/traces``, ``/events``) accept a
 ``?limit=N`` query parameter and return the **newest** ``N`` items,
@@ -55,6 +60,7 @@ import repro
 from repro.client.sdk import MilvusClient
 from repro.core import MilvusLite, MilvusError
 from repro.obs import enabled as obs_enabled, get_obs
+from repro.obs.profile import profile_stage
 from repro.storage.lsm import resolve_background
 from repro.utils import sanitizer
 from repro.utils.retry import RetryExhaustedError, RetryPolicy
@@ -113,8 +119,8 @@ class RestRouter:
             ("GET", re.compile(r"^/metrics$"), self._metrics),
             ("GET", re.compile(r"^/traces$"), self._traces),
             ("GET", re.compile(r"^/traces/(?P<trace_id>\w+)$"), self._trace),
-            ("GET", re.compile(r"^/profiles$"), self._profiles),
-            ("GET", re.compile(r"^/profiles/(?P<trace_id>\w+)$"), self._profile),
+            ("GET", re.compile(r"^/profiles$"), self._traces),
+            ("GET", re.compile(r"^/profiles/(?P<trace_id>\w+)$"), self._trace),
             ("GET", re.compile(r"^/slowlog$"), self._slowlog),
             ("GET", re.compile(r"^/events$"), self._events),
             ("GET", re.compile(r"^/jobs$"), self._jobs),
@@ -129,7 +135,7 @@ class RestRouter:
         ``path`` may carry a query string (``/events?limit=10``); it is
         split off and parsed here so every handler sees a plain path
         plus a flat ``{key: last value}`` dict.  Every request runs
-        inside a ``rest.request`` span and lands in
+        inside a ``rest.request`` stage and lands in
         ``rest_requests_total{method,status}`` / ``rest_request_seconds``.
         """
         path, _, raw_query = path.partition("?")
@@ -140,7 +146,7 @@ class RestRouter:
             ).items()
         }
         obs = get_obs()
-        with obs.tracer.span("rest.request", method=method.upper(), path=path):
+        with profile_stage("rest.request", method=method.upper(), path=path):
             started = time.perf_counter()
             response = self._dispatch(
                 method, path, {} if body is None else body, query)
@@ -283,11 +289,15 @@ class RestRouter:
         })
 
     def _multi_search(self, body: dict, query: Dict[str, str], name: str) -> RestResponse:
+        if not isinstance(body["queries"], dict):
+            raise ValueError(
+                "queries must be an object of vector field -> query vectors, "
+                f"got {type(body['queries']).__name__}")
         queries = {
             f: np.asarray(v, dtype=np.float32) for f, v in body["queries"].items()
         }
         hits = self.client.multi_vector_search(
-            name, queries, int(body.get("k", 10)),
+            name, queries, body.get("k", 10),
             weights=body.get("weights"), method=body.get("method", "auto"),
         )
         return RestResponse(200, {
@@ -357,25 +367,16 @@ class RestRouter:
 
     def _traces(self, body: dict, query: Dict[str, str]) -> RestResponse:
         limit = self._parse_limit(query)
-        trace_ids = list(reversed(get_obs().tracer.trace_ids()))
+        trace_ids = list(reversed(get_obs().profiler.trace_ids()))
         if limit is not None:
             trace_ids = trace_ids[:limit]
         return RestResponse(200, {"trace_ids": trace_ids})
 
     def _trace(self, body: dict, query: Dict[str, str], trace_id: str) -> RestResponse:
-        tree = get_obs().tracer.trace_tree(trace_id)
-        if tree is None:
+        root = get_obs().profiler.get(trace_id)
+        if root is None:
             return RestResponse(404, {"error": f"trace {trace_id!r} not found"})
-        return RestResponse(200, tree)
-
-    def _profiles(self, body: dict, query: Dict[str, str]) -> RestResponse:
-        return RestResponse(200, {"profile_ids": get_obs().profiler.profile_ids()})
-
-    def _profile(self, body: dict, query: Dict[str, str], trace_id: str) -> RestResponse:
-        profile = get_obs().profiler.get(trace_id)
-        if profile is None:
-            return RestResponse(404, {"error": f"profile {trace_id!r} not found"})
-        return RestResponse(200, profile.to_dict())
+        return RestResponse(200, root.document())
 
     def _slowlog(self, body: dict, query: Dict[str, str]) -> RestResponse:
         limit = self._parse_limit(query)

@@ -24,6 +24,7 @@ from repro.core import (
     VectorField,
 )
 from repro.obs import get_obs
+from repro.obs.profile import profile_stage
 from repro.utils.retry import RetryPolicy
 
 
@@ -146,7 +147,7 @@ class MilvusClient:
         dump from :func:`repro.obs.explain.explain_search`), and
         ``"profile"`` (the executed query's work-counter tree).
         """
-        with get_obs().tracer.span(
+        with profile_stage(
             "sdk.search", collection=collection, field=field, k=k
         ):
             result = self._call(
@@ -233,7 +234,7 @@ class ClusterClient:
         return fn(*args, **kwargs)
 
     def insert(self, row_ids: np.ndarray, vectors: np.ndarray) -> None:
-        with get_obs().tracer.span("client.insert", rows=len(row_ids)):
+        with profile_stage("client.insert", rows=len(row_ids)):
             self._call(self.cluster.insert, row_ids, vectors)
 
     def sync(self, build_indexes: bool = True) -> None:
@@ -241,11 +242,11 @@ class ClusterClient:
 
     def search(self, queries: np.ndarray, k: int, **params):
         """Fan-out query; returns the cluster's ClusterSearchResult
-        (including ``trace_id`` when tracing is on).
+        (including ``trace_id`` when observability is on).
 
         ``params`` ride through to :meth:`MilvusCluster.search`
         (``auto_refresh``, ``explain``, and the readers' index knobs).
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        with get_obs().tracer.span("client.search", nq=len(queries), k=k):
+        with profile_stage("client.search", nq=len(queries), k=k):
             return self._call(self.cluster.search, queries, k, **params)

@@ -27,7 +27,6 @@ concurrent callers, never from a pool inside one request
 from __future__ import annotations
 
 import math
-import operator
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -61,6 +60,18 @@ AttributeFilter = Tuple[str, float, float]
 #: footnote 5), and where the multi-vector merge stops widening its k'.
 #: What a request can make the engine allocate is ``nq`` times it.
 MAX_TOPK = 16384
+
+
+def _check_k(k) -> int:
+    """``k`` as an ``int`` in ``[1, MAX_TOPK]``, or a refusal naming it."""
+    try:
+        k = ensure_positive_int(k, "k")
+    except ValueError as exc:
+        raise InvalidQueryError(str(exc)) from None
+    if k > MAX_TOPK:
+        raise InvalidQueryError(f"k must be at most {MAX_TOPK}, got {k}")
+    return k
+
 
 def _ensure_finite(values: np.ndarray, label: str) -> None:
     """Refuse NaN/inf: the WAL would replay them on every recovery."""
@@ -210,8 +221,8 @@ class Collection:
         (:func:`~repro.obs.explain.explain_search`) and the executed
         :class:`~repro.obs.profile.QueryProfile` with exact work
         counters.  Works with observability off; with it on, every
-        search is profiled and retained by trace id
-        (``GET /profiles/{trace_id}``).
+        search is a stage of a kept span tree
+        (``GET /traces/{trace_id}``).
 
         With a filter the attribute column yields the admissible row
         ids and the calibrated planner picks, from their share of the
@@ -232,43 +243,31 @@ class Collection:
         if filter is not None:
             filter = self._check_filter(filter)
         obs = get_obs()
-        # explain always gets its own profile; otherwise profile every
-        # top-level search when observability is on (nested searches —
-        # e.g. from the multi-vector searcher — land in the ambient
-        # profile as stages instead of spawning their own).
-        top_level = current_node() is None
-        profile = None
-        if explain or (obs.profiler.enabled and top_level):
-            profile = QueryProfile(
-                "collection.search",
-                collection=self.schema.name, field=field, k=int(k),
-            )
-        with obs.tracer.span(
-            "collection.search", collection=self.schema.name, field=field, k=k,
-            filtered=filter is not None,
-        ) as span:
+        # explain always records (a QueryProfile works with observability
+        # off); otherwise this is one stage of the ambient tree, or a
+        # root of its own when observability is on.
+        attrs = dict(collection=self.schema.name, field=field, k=k,
+                     filtered=filter is not None)
+        if explain:
+            profile = QueryProfile("collection.search", **attrs)
+            stage = profile.root
+        else:
+            profile = None
+            stage = profile_stage("collection.search", **attrs)
+        with stage:
             started = time.perf_counter()
-            stage = profile if profile is not None else profile_stage(
-                "collection.search", collection=self.schema.name, field=field,
+            result = self._search_impl(
+                field, queries, k, filter, snapshot, **search_params
             )
-            with stage:
-                result = self._search_impl(
-                    field, queries, k, filter, snapshot, **search_params
-                )
             elapsed = time.perf_counter() - started
-        if profile is not None:
-            obs.profiler.record(span.trace_id, profile)
-            # Exact usage accounting: the profile's integer counters are
-            # deterministic, so per-collection usage equals the sum of
-            # the recorded query profiles.
-            obs.usage.record_query(
-                self.schema.name, elapsed, profile.total_counters())
-        elif top_level:
-            obs.usage.record_query(self.schema.name, elapsed, None)
+        # Exact usage accounting: the stage's integer counters are
+        # deterministic, so per-collection usage equals the sum of the
+        # collection.search stages of the kept trees.
+        obs.usage.record_query(self.schema.name, elapsed, stage.total_counters())
         obs.registry.histogram("collection_search_seconds").observe(elapsed)
         obs.slow_query_log.observe(
-            "collection.search", elapsed, trace_id=span.trace_id,
-            profile=profile,
+            "collection.search", elapsed, trace_id=stage.trace_id,
+            profile=stage,
             collection=self.schema.name, field=field, k=k,
         )
         if explain:
@@ -307,12 +306,7 @@ class Collection:
                     ensure_positive_int(value, f"params.{key}")
                 except ValueError as exc:
                     raise InvalidQueryError(str(exc)) from None
-        try:
-            k = operator.index(k)
-        except TypeError:
-            raise InvalidQueryError(f"k must be an integer, got {k!r}") from None
-        if not 1 <= k <= MAX_TOPK:
-            raise InvalidQueryError(f"k must be between 1 and {MAX_TOPK}, got {k}")
+        k = _check_k(k)
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
             queries = queries[np.newaxis, :]
@@ -627,6 +621,7 @@ class Collection:
         """
         from repro.multivector import MultiVectorSearcher
 
+        k = _check_k(k)
         searcher = MultiVectorSearcher(self, weights=weights)
         return searcher.search(
             queries, k, method=method, aggregation=aggregation, **search_params

@@ -28,7 +28,7 @@ from repro.index.base import SearchResult
 from repro.metrics import get_metric
 from repro.obs import get_obs
 from repro.obs import events as obs_events
-from repro.obs.profile import QueryProfile, current_node, profile_stage
+from repro.obs.profile import QueryProfile, profile_stage
 from repro.storage.filesystem import FileSystem, InMemoryObjectStore
 from repro.utils import merge_topk_batch
 from repro.utils.retry import RetryPolicy
@@ -63,7 +63,8 @@ class ClusterSearchResult:
     double-count); ``simulated_parallel_seconds`` is its max.  Lazy
     index builds triggered by the query are reported separately as
     ``index_build_seconds`` instead of polluting node latency.
-    ``trace_id`` links to the query's span tree when tracing is on.
+    ``trace_id`` links to the query's span tree when observability is
+    on.
     """
 
     result: SearchResult
@@ -75,7 +76,7 @@ class ClusterSearchResult:
     index_build_seconds: float = 0.0
     trace_id: Optional[str] = None
     #: per-shard work-counter profile; populated with ``explain=True``
-    #: or when the profiler is enabled (see :mod:`repro.obs.profile`).
+    #: (see :mod:`repro.obs.profile`).
     profile: Optional[QueryProfile] = None
 
 
@@ -145,7 +146,7 @@ class MilvusCluster:
             ):
                 continue  # crash-looping node: leave it down, degrade
             self.coordinator.record_respawn(node_id)
-            with obs.tracer.span("cluster.respawn", node=node_id):
+            with profile_stage("cluster.respawn", node=node_id):
                 self.readers[node_id] = ReaderNode.respawn(reader)
             obs.registry.counter("cluster_respawns_total", node=node_id).inc()
             obs.events.emit(
@@ -161,7 +162,7 @@ class MilvusCluster:
         obs = get_obs()
         row_ids = np.asarray(row_ids, dtype=np.int64)
         vectors = np.asarray(vectors, dtype=np.float32)
-        with obs.tracer.span("cluster.insert", rows=len(row_ids)):
+        with profile_stage("cluster.insert", rows=len(row_ids)):
             owners = np.array([self.coordinator.route(int(r)) for r in row_ids])
             for shard in np.unique(owners):
                 mask = owners == shard
@@ -216,18 +217,13 @@ class MilvusCluster:
         obs = get_obs()
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         injected0 = float(getattr(self.shared, "injected_latency_seconds", 0.0))
-        profile = None
-        if explain or (obs.profiler.enabled and current_node() is None):
+        if explain:
             profile = QueryProfile("cluster.search", nq=len(queries), k=int(k))
-        pstage = (
-            profile.root
-            if profile is not None
-            else profile_stage("cluster.search", nq=len(queries), k=int(k))
-        )
-        with obs.tracer.span(
-            "cluster.search", nq=len(queries), k=k
-        ) as root, pstage:
-            trace_id = root.trace_id
+            stage = profile.root
+        else:
+            profile = None
+            stage = profile_stage("cluster.search", nq=len(queries), k=int(k))
+        with stage:
             if self.respawn_policy.auto:
                 self._auto_respawn()
             live = [r for r in self.readers.values() if r.alive]
@@ -300,16 +296,14 @@ class MilvusCluster:
             float(getattr(self.shared, "injected_latency_seconds", 0.0))
             - injected0
         )
-        if profile is not None:
-            obs.profiler.record(trace_id, profile)
         obs.slow_query_log.observe(
             "cluster.search",
             wall + max(0.0, injected),
-            trace_id=trace_id,
+            trace_id=stage.trace_id,
             nq=len(queries),
             k=k,
             degraded=bool(missing),
-            profile=profile,
+            profile=stage,
         )
         return ClusterSearchResult(
             result=merged,
@@ -321,7 +315,7 @@ class MilvusCluster:
             missing_shards=sorted(missing),
             per_node_seconds=per_node,
             index_build_seconds=index_build_seconds,
-            trace_id=trace_id,
+            trace_id=stage.trace_id,
             profile=profile,
         )
 

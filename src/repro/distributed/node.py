@@ -25,7 +25,7 @@ from repro.index import create_index
 from repro.index.base import SearchResult, VectorIndex
 from repro.metrics import get_metric
 from repro.obs import get_obs
-from repro.obs.profile import profile_count
+from repro.obs.profile import profile_count, profile_stage
 from repro.storage.filesystem import FileSystem
 from repro.utils.retry import RetryPolicy
 from repro.utils.sanitizer import maybe_sanitize
@@ -66,7 +66,7 @@ class WriterNode:
     ) -> str:
         """Write one insert-log object for ``shard``; returns its path."""
         obs = get_obs()
-        with obs.tracer.span("writer.append_shard_log", shard=shard):
+        with profile_stage("writer.append_shard_log", shard=shard):
             started = time.perf_counter()
             buf = io.BytesIO()
             np.savez(
@@ -190,8 +190,8 @@ class ReaderNode:
         if self._index is not None or self._vectors is None or not len(self._vectors):
             return 0.0
         obs = get_obs()
-        with obs.tracer.span("reader.index_build", node=self.node_id,
-                             index_type=self.index_type):
+        with profile_stage("reader.index_build", node=self.node_id,
+                           index_type=self.index_type):
             started = time.perf_counter()
             self.build_index()
             elapsed = time.perf_counter() - started
@@ -212,12 +212,12 @@ class ReaderNode:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         obs = get_obs()
         started = time.perf_counter()
-        with obs.tracer.span("reader.search", node=self.node_id, nq=len(queries)):
+        with profile_stage("reader.search", node=self.node_id, nq=len(queries)):
             if self._index is None:
                 result = SearchResult.empty(len(queries), k, self.metric)
             else:
-                with obs.tracer.span("index.search", node=self.node_id,
-                                     index_type=self.index_type):
+                with profile_stage("index.search", node=self.node_id,
+                                   index_type=self.index_type):
                     result = self._index.search(queries, k, **search_params)
         elapsed = time.perf_counter() - started
         with self._stats_lock:

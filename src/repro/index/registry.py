@@ -43,12 +43,13 @@ def register_index(cls: Type[VectorIndex], overwrite: bool = False) -> Type[Vect
 
 
 def _registered(index_type: str) -> Type[VectorIndex]:
-    try:
-        return _REGISTRY[index_type.upper()]
-    except KeyError:
-        raise KeyError(
-            f"unknown index type {index_type!r}; available: {sorted(_REGISTRY)}"
-        ) from None
+    cls = _REGISTRY.get(index_type.upper()) if isinstance(index_type, str) else None
+    if cls is None:
+        raise ValueError(
+            f"index_type: unknown index type {index_type!r}; "
+            f"available: {sorted(_REGISTRY)}"
+        )
+    return cls
 
 
 def create_index(index_type: str, dim: int, metric="l2", **params) -> VectorIndex:

@@ -16,8 +16,7 @@ from repro.multivector.aggregate import WeightedSum
 from repro.multivector.fusion import DECOMPOSABLE_METRICS, VectorFusion
 from repro.multivector.iterative import DEFAULT_K_THRESHOLD, IterativeMerging
 from repro.multivector.naive import naive_multi_vector_search
-from repro.obs import get_obs
-from repro.obs.profile import QueryProfile, current_node, profile_stage
+from repro.obs.profile import profile_stage
 from repro.utils import sorted_membership
 
 
@@ -69,24 +68,12 @@ class MultiVectorSearcher:
                 f"use method='iterative' for {aggregation!r}"
             )
         batches = self._to_batches(queries)
-        obs = get_obs()
-        profile = None
-        if obs.profiler.enabled and current_node() is None:
-            profile = QueryProfile(
-                "multivector.search", method=method, aggregation=aggregation, k=int(k)
-            )
-        stage = (
-            profile
-            if profile is not None
-            else profile_stage("multivector.search", method=method, aggregation=aggregation)
-        )
-        with obs.tracer.span("multivector.search", method=method) as span, stage:
-            out = self._search_impl(
+        with profile_stage(
+            "multivector.search", method=method, aggregation=aggregation, k=int(k)
+        ):
+            return self._search_impl(
                 batches, k, method, k_threshold, aggregation, **search_params
             )
-        if profile is not None:
-            obs.profiler.record(span.trace_id, profile)
-        return out
 
     def _search_impl(
         self,

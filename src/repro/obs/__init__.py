@@ -1,20 +1,21 @@
 """repro.obs — the dependency-free observability layer.
 
-Three cooperating pieces, bundled behind one process-global (but
+Cooperating pieces, bundled behind one process-global (but
 injectable) :class:`Observability` handle:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
   bounded-memory histograms (p50/p95/p99 without stored samples),
   rendered in Prometheus text format by ``GET /metrics``;
-* :class:`~repro.obs.tracing.Tracer` — per-query span trees with
-  ambient (contextvar) parenting, retrievable via
-  ``GET /traces/<trace_id>``;
+* :class:`~repro.obs.profile.Profiler` — the one span tree: every
+  instrumented layer opens one
+  :func:`~repro.obs.profile.profile_stage` (ambient contextvar
+  parenting, stage timings + exact work counters); a stage with no
+  parent is a root, and finished roots are kept in a bounded store
+  served by ``GET /traces/<trace_id>`` and ``GET /profiles/<trace_id>``
+  (the same document);
 * :class:`~repro.obs.slowlog.SlowQueryLog` — threshold-gated ring of
-  slow queries, each linking to its trace (and, since the profiling
-  layer landed, embedding the offending query's profile);
-* :class:`~repro.obs.profile.Profiler` — bounded store of per-query
-  :class:`~repro.obs.profile.QueryProfile` trees (stage timings +
-  exact work counters), retrievable via ``GET /profiles/<trace_id>``;
+  slow queries, each linking to its tree by trace id and embedding the
+  offending query's stage;
 * the operational layer (INTERNALS §19) —
   :class:`~repro.obs.events.EventJournal` (``GET /events``),
   :class:`~repro.obs.jobs.JobRegistry` (``GET /jobs``),
@@ -27,7 +28,7 @@ shared null objects — one no-op method call of overhead.  Turn it on
 with ``REPRO_OBS=1`` in the environment, or programmatically::
 
     from repro import obs
-    handle = obs.enable()                    # fresh registry/tracer/log
+    handle = obs.enable()                    # fresh registry/profiler/log
     handle = obs.enable(registry=my_registry)  # injected (tests)
     ...
     obs.disable()
@@ -96,7 +97,6 @@ from repro.obs.slowlog import (
     SlowQuery,
     SlowQueryLog,
 )
-from repro.obs.tracing import NullTracer, NULL_TRACER, Span, Tracer
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -107,9 +107,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
-    "Span",
-    "Tracer",
-    "NullTracer",
     "SlowQuery",
     "SlowQueryLog",
     "NullSlowQueryLog",
@@ -148,7 +145,7 @@ __all__ = [
 
 
 class Observability:
-    """One registry + tracer + slow-query log + profiler + ops layer.
+    """One registry + slow-query log + profiler + ops layer.
 
     The operational members default to instances wired to each other:
     the job registry exports gauges through ``registry``, the health
@@ -158,7 +155,6 @@ class Observability:
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         slow_query_log: Optional[SlowQueryLog] = None,
         profiler: Optional[Profiler] = None,
         events: Optional[EventJournal] = None,
@@ -167,7 +163,6 @@ class Observability:
         usage: Optional[UsageMeter] = None,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
         self.slow_query_log = (
             slow_query_log if slow_query_log is not None else SlowQueryLog()
         )
@@ -188,7 +183,6 @@ class _NullObservability:
     """The disabled-path handle: all members are shared no-ops."""
 
     registry = NULL_REGISTRY
-    tracer = NULL_TRACER
     slow_query_log = NULL_SLOW_LOG
     profiler = NULL_PROFILER
     events = NULL_JOURNAL
@@ -199,7 +193,16 @@ class _NullObservability:
 
 _NULL_OBS = _NullObservability()
 
-_obs: Optional[Observability] = None
+
+def _from_env() -> Optional[Observability]:
+    return Observability() if os.environ.get("REPRO_OBS") == "1" else None
+
+
+#: the installed handle; None means off.  ``REPRO_OBS`` is resolved here
+#: at import, again by :func:`disable`, and lazily by :func:`get_obs`,
+#: so :func:`~repro.obs.profile.profile_stage` can read this one global
+#: instead of the environment on every disabled call.
+_obs: Optional[Observability] = _from_env()
 _state_lock = threading.Lock()
 
 
@@ -232,7 +235,6 @@ def get_obs() -> "Observability":
 
 def enable(
     registry: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
     slow_query_log: Optional[SlowQueryLog] = None,
     profiler: Optional[Profiler] = None,
     events: Optional[EventJournal] = None,
@@ -247,7 +249,7 @@ def enable(
     """
     global _obs
     with _state_lock:
-        _obs = Observability(registry, tracer, slow_query_log, profiler,
+        _obs = Observability(registry, slow_query_log, profiler,
                              events, jobs, health, usage)
         return _obs
 
@@ -255,13 +257,12 @@ def enable(
 def disable() -> None:
     """Turn observability off and drop the collected data.
 
-    Note: with ``REPRO_OBS=1`` in the environment a fresh handle is
-    created on the next :func:`get_obs` (same contract as the
-    sanitizer's env switch).
+    Note: with ``REPRO_OBS=1`` in the environment this installs a fresh
+    handle instead (same contract as the sanitizer's env switch).
     """
     global _obs
     with _state_lock:
-        _obs = None
+        _obs = _from_env()
 
 
 class Stopwatch:

@@ -1,7 +1,7 @@
 """Bounded, thread-safe journal of engine lifecycle events.
 
 The metrics registry answers *how much* (counters/gauges) and the
-tracer answers *where did this query go*; neither answers *what has
+span tree answers *where did this query go*; neither answers *what has
 the engine been doing* — the background machinery (PR 7's flush and
 compaction loops, WAL checkpointing, PR 8's planner calibration)
 otherwise runs dark until a barrier re-raises a stored error.  The

@@ -1,20 +1,27 @@
-"""Query profiling: per-stage wall time plus deterministic work counters.
+"""The span tree: per-stage wall time plus deterministic work counters.
 
-A :class:`QueryProfile` is one query's EXPLAIN ANALYZE record: a tree
-of :class:`ProfileNode` stages (collection -> lsm fan-out -> segment
--> index scan), each carrying wall-clock ``seconds`` and a dict of
-exact integer work counters — distance evaluations, rows scanned,
-bytes read from storage, heap pushes, candidates pruned, cache and
-norm-cache hits.  Counters are plain ints incremented by instrumented
-code, never sampled or estimated, so two seeded runs of the same query
-produce byte-equal counter dicts and tests can assert on them.
+A :class:`ProfileNode` is one timed, named stage of an operation
+(REST request -> SDK -> collection -> lsm fan-out -> segment -> index
+scan), carrying wall-clock ``seconds``, its ``start`` (perf_counter at
+entry, which orders siblings) and a dict of exact integer work
+counters — distance evaluations, rows scanned, bytes read from
+storage, heap pushes, candidates pruned, cache and norm-cache hits.
+Counters are plain ints incremented by instrumented code, never
+sampled or estimated, so two seeded runs of the same query produce
+byte-equal counter dicts and tests can assert on them.
 
-Propagation is ambient and mirrors :class:`~repro.obs.tracing.Tracer`:
-the innermost active node lives in a :mod:`contextvars` variable, and
-instrumented sites call :func:`profile_count` / :func:`profile_stage`
-without any plumbing through signatures.  When no profile is active
-each site costs one call that reads the context variable and returns —
-the same "one no-op call" budget as the null tracer.
+Propagation is ambient: the innermost active node lives in a
+:mod:`contextvars` variable, and instrumented sites call
+:func:`profile_stage` / :func:`profile_count` without any plumbing
+through signatures.  A stage opened under an active node is its
+child; one opened with none is a *root*.  With observability on, a
+root gets a deterministic ``t%06d`` trace id (shared by every node
+below it) and, once finished, is kept by the bounded :class:`Profiler`
+store that serves ``GET /traces/{id}`` and ``GET /profiles/{id}``.
+With it off a root is the shared :data:`NULL_STAGE`, so a disabled
+site costs one call that reads the context variable and returns a
+no-op — except :func:`measurement_stage` (and so :class:`QueryProfile`,
+which ``search(..., explain=True)`` uses), which always records.
 
 One query runs on one thread, so a fan-out
 (:meth:`LSMManager.search`, :meth:`MilvusCluster.search`) needs no
@@ -22,11 +29,10 @@ ceremony: each scan opens its own ``segment.search`` /
 ``shard.search`` stage as it runs, child order is scan order, and no
 two threads ever touch the same node.
 
-Finished profiles are retained by a bounded :class:`Profiler` store
-keyed by trace id (LRU, like the tracer's trace store) and served by
-``GET /profiles/{trace_id}``.  When observability is off,
-:data:`NULL_PROFILER` and the shared :data:`NULL_STAGE` node swallow
-everything.
+Memory is bounded twice over: the store keeps at most
+``max_profiles`` trees (LRU by finish order) and a node keeps at most
+:data:`MAX_CHILDREN_PER_NODE` children (overflow counts into
+``dropped_children``).
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import time
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
+from repro import obs as _switchboard
 from repro.utils.sanitizer import maybe_sanitize
 
 __all__ = [
@@ -46,6 +53,7 @@ __all__ = [
     "NullProfiler",
     "NULL_PROFILER",
     "NULL_STAGE",
+    "MAX_CHILDREN_PER_NODE",
     "current_node",
     "profile_count",
     "profile_attr",
@@ -54,8 +62,7 @@ __all__ = [
 ]
 
 #: children retained per node before overflow counts into
-#: ``dropped_children`` (bounds one profile's memory the way
-#: ``max_spans_per_trace`` bounds a trace).
+#: ``dropped_children`` (bounds one tree's memory per node).
 MAX_CHILDREN_PER_NODE = 256
 
 #: the innermost active profile node of the current execution context.
@@ -65,29 +72,40 @@ _ACTIVE: "contextvars.ContextVar[Optional[ProfileNode]]" = contextvars.ContextVa
 
 
 class ProfileNode:
-    """One stage of a query profile: timed region + integer counters.
+    """One stage of a span tree: timed region + integer counters.
 
     The node is its own context manager: entering makes it the ambient
-    counter sink (so :func:`profile_count` lands here), exiting adds
-    the elapsed wall time and restores the previous node.  Counter
-    increments only ever come from the thread that currently has the
-    node entered, so no lock is needed; cross-stage totals are computed
-    after the fact by :meth:`total_counters`.
+    parent and counter sink (so :func:`profile_count` lands here),
+    exiting adds the elapsed wall time, restores the previous node and
+    — for a root opened by a :class:`Profiler` — hands the finished
+    tree to that store.  Counter increments only ever come from the
+    thread that currently has the node entered, so no lock is needed;
+    cross-stage totals are computed after the fact by
+    :meth:`total_counters`.
     """
 
     __slots__ = (
-        "name", "attrs", "counters", "children", "seconds",
-        "dropped_children", "_start", "_token",
+        "name", "attrs", "counters", "children", "seconds", "start",
+        "dropped_children", "trace_id", "_store", "_token",
     )
 
-    def __init__(self, name: str, attrs: Optional[Dict[str, object]] = None):
+    def __init__(
+        self,
+        name: str,
+        attrs: Optional[Dict[str, object]] = None,
+        trace_id: Optional[str] = None,
+        store: Optional["Profiler"] = None,
+    ):
         self.name = name
         self.attrs: Dict[str, object] = dict(attrs) if attrs else {}
         self.counters: Dict[str, int] = {}
         self.children: List[ProfileNode] = []
         self.seconds = 0.0
+        self.start = 0.0
         self.dropped_children = 0
-        self._start = 0.0
+        #: the tree's id; every node of a kept tree carries its root's.
+        self.trace_id = trace_id
+        self._store = store
         self._token: Optional[contextvars.Token] = None
 
     # -- accounting --------------------------------------------------------
@@ -108,7 +126,7 @@ class ProfileNode:
         if len(self.children) >= MAX_CHILDREN_PER_NODE:
             self.dropped_children += 1
             return NULL_STAGE
-        child = ProfileNode(name, attrs)
+        child = ProfileNode(name, attrs, self.trace_id)
         self.children.append(child)
         return child
 
@@ -123,6 +141,7 @@ class ProfileNode:
     def to_dict(self) -> Dict[str, object]:
         node: Dict[str, object] = {
             "name": self.name,
+            "start": self.start,
             "seconds": self.seconds,
             "attrs": dict(self.attrs),
             "counters": dict(self.counters),
@@ -132,25 +151,35 @@ class ProfileNode:
             node["dropped_children"] = self.dropped_children
         return node
 
+    def document(self) -> Dict[str, object]:
+        """This subtree as served by ``GET /profiles/{id}`` (and
+        ``/traces/{id}``), embedded in slow-log entries and returned by
+        EXPLAIN."""
+        return {"trace_id": self.trace_id, "root": self.to_dict(),
+                "total_counters": self.total_counters()}
+
     # -- context manager ---------------------------------------------------
 
     def __enter__(self) -> "ProfileNode":
-        self._start = time.perf_counter()
+        self.start = time.perf_counter()
         self._token = _ACTIVE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.seconds += time.perf_counter() - self._start
+        self.seconds += time.perf_counter() - self.start
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
         if self._token is not None:
             _ACTIVE.reset(self._token)
             self._token = None
+        if self._store is not None:
+            self._store.record(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ProfileNode({self.name!r}, {self.seconds * 1e3:.3f}ms, "
-            f"counters={self.counters}, children={len(self.children)})"
+            f"ProfileNode({self.name!r}, trace={self.trace_id}, "
+            f"{self.seconds * 1e3:.3f}ms, counters={self.counters}, "
+            f"children={len(self.children)})"
         )
 
 
@@ -158,10 +187,12 @@ class _NullStage:
     """Shared no-op stage: absorbs counts, never records anything."""
 
     name = ""
+    trace_id: Optional[str] = None
     attrs: Dict[str, object] = {}
     counters: Dict[str, int] = {}
     children: List[ProfileNode] = []
     seconds = 0.0
+    start = 0.0
     dropped_children = 0
 
     def count(self, counter: str, n: int = 1) -> None:
@@ -177,6 +208,9 @@ class _NullStage:
         return {}
 
     def to_dict(self) -> Dict[str, object]:
+        return {}
+
+    def document(self) -> Dict[str, object]:
         return {}
 
     def __enter__(self) -> "_NullStage":
@@ -213,47 +247,52 @@ def profile_attr(key: str, value: object) -> None:
 
 
 def profile_stage(name: str, **attrs):
-    """A child stage of the ambient node, for use as a context manager.
+    """A stage for use as a context manager: a child of the ambient
+    node, else a root of the active profiler.
 
-    Returns the shared :data:`NULL_STAGE` when no profile is active,
-    so instrumented code writes one unconditional ``with`` either way.
+    Returns the shared :data:`NULL_STAGE` when there is no ambient node
+    and observability is off, so instrumented code writes one
+    unconditional ``with`` either way; that check is one read of the
+    switchboard's installed handle.
     """
     node = _ACTIVE.get()
-    if node is None:
-        return NULL_STAGE
-    return node.stage(name, **attrs)
+    if node is not None:
+        return node.stage(name, **attrs)
+    handle = _switchboard._obs
+    return NULL_STAGE if handle is None else handle.profiler.root(name, attrs)
 
 
 def measurement_stage(name: str, **attrs) -> ProfileNode:
-    """A *recording* stage even when no profile is active.
+    """A *recording* stage even when observability is off.
 
-    Calibration feedback needs exact counters for every executed query,
-    not only the explained ones.  With an ambient profile this is an
-    ordinary child stage (the measurements show up in EXPLAIN ANALYZE);
-    without one it is a detached root node the caller reads counters
-    from and then drops — never :data:`NULL_STAGE`, which would feed
-    the calibrator zeros.
+    Calibration feedback and EXPLAIN need exact counters for the
+    queries they run, not only when observability is on.  Where
+    :func:`profile_stage` would hand out :data:`NULL_STAGE` this returns
+    a detached node the caller reads counters from and then drops —
+    never :data:`NULL_STAGE`, which would feed the calibrator zeros.
     """
-    node = _ACTIVE.get()
-    if node is None:
-        return ProfileNode(name, attrs)
-    return node.stage(name, **attrs)
+    stage = profile_stage(name, **attrs)  # reprolint: disable=span-context
+    return ProfileNode(name, attrs) if stage is NULL_STAGE else stage
 
 
 class QueryProfile:
-    """One query's profile: a root stage plus the retaining trace id.
+    """One query's EXPLAIN ANALYZE record: a :func:`measurement_stage`.
 
     Usable standalone (``search(..., explain=True)`` works with
     observability off): entering activates the root node, exiting
-    finalizes it.  The :class:`Profiler` store only gets involved when
-    observability is enabled.
+    finalizes it.  Opened under an active node it is that node's
+    child, so an explained search stays part of its request's tree.
     """
 
-    __slots__ = ("root", "trace_id")
+    __slots__ = ("root",)
 
-    def __init__(self, name: str = "query", trace_id: Optional[str] = None, **attrs):
-        self.root = ProfileNode(name, attrs)
-        self.trace_id = trace_id
+    def __init__(self, name: str = "query", **attrs):
+        # entered by this wrapper's own __enter__
+        self.root = measurement_stage(name, **attrs)  # reprolint: disable=span-context
+
+    @property
+    def trace_id(self) -> Optional[str]:
+        return self.root.trace_id
 
     @property
     def seconds(self) -> float:
@@ -266,8 +305,7 @@ class QueryProfile:
         return self.root.total_counters()
 
     def to_dict(self) -> Dict[str, object]:
-        return {"trace_id": self.trace_id, "root": self.root.to_dict(),
-                "total_counters": self.total_counters()}
+        return self.root.document()
 
     def __enter__(self) -> "QueryProfile":
         self.root.__enter__()
@@ -277,71 +315,61 @@ class QueryProfile:
         self.root.__exit__(exc_type, exc, tb)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"QueryProfile(trace={self.trace_id}, root={self.root!r})"
+        return f"QueryProfile(root={self.root!r})"
 
 
 class Profiler:
-    """Bounded LRU store of finished profiles, keyed by trace id."""
-
-    #: real profilers collect on every search; the null one never does.
-    enabled = True
+    """Opens root stages and keeps finished trees in a bounded store."""
 
     #: lock-discipline declaration consumed by tools/reprolint.
-    _GUARDED_BY = {"_profiles": "_lock", "_seq": "_lock"}
+    _GUARDED_BY = {"_trees": "_lock", "_seq": "_lock"}
 
     def __init__(self, max_profiles: int = 128):
         if max_profiles < 1:
             raise ValueError("profile store bound must be >= 1")
         self.max_profiles = max_profiles
         self._lock = maybe_sanitize(threading.Lock(), "obs")
-        #: trace_id -> finished profile, oldest first.
-        self._profiles: "OrderedDict[str, QueryProfile]" = OrderedDict()
+        #: trace_id -> finished root, oldest first.
+        self._trees: "OrderedDict[str, ProfileNode]" = OrderedDict()
         self._seq = 0
 
-    def record(self, trace_id: Optional[str], profile: QueryProfile) -> str:
-        """Retain a finished profile; returns its store key.
-
-        Keys by the query's trace id when tracing produced one, else by
-        a deterministic ``p%06d`` sequence number, mirroring the
-        tracer's id scheme.
-        """
+    def root(self, name: str, attrs: Optional[Dict[str, object]] = None) -> ProfileNode:
+        """A root stage with a fresh ``t%06d`` trace id; kept on exit."""
         with self._lock:
-            if trace_id is None:
-                self._seq += 1
-                trace_id = f"p{self._seq:06d}"
-            profile.trace_id = trace_id
-            self._profiles[trace_id] = profile
-            self._profiles.move_to_end(trace_id)
-            while len(self._profiles) > self.max_profiles:
-                self._profiles.popitem(last=False)
-        return trace_id
+            self._seq += 1
+            trace_id = f"t{self._seq:06d}"
+        return ProfileNode(name, attrs, trace_id, self)
 
-    def get(self, trace_id: str) -> Optional[QueryProfile]:
+    def record(self, root: ProfileNode) -> None:
+        """Keep a finished root, evicting the oldest past the bound."""
         with self._lock:
-            return self._profiles.get(trace_id)
+            self._trees[root.trace_id] = root
+            self._trees.move_to_end(root.trace_id)
+            while len(self._trees) > self.max_profiles:
+                self._trees.popitem(last=False)
 
-    def profile_ids(self) -> List[str]:
+    def get(self, trace_id: str) -> Optional[ProfileNode]:
         with self._lock:
-            return list(self._profiles)
+            return self._trees.get(trace_id)
+
+    def trace_ids(self) -> List[str]:
+        """Kept trees' ids, oldest first."""
+        with self._lock:
+            return list(self._trees)
 
     def clear(self) -> None:
         with self._lock:
-            self._profiles.clear()
+            self._trees.clear()
             self._seq = 0
 
 
 class NullProfiler:
-    """Profiler stand-in when observability is off."""
-
-    enabled = False
-
-    def record(self, trace_id: Optional[str], profile: QueryProfile) -> str:
-        return trace_id or ""
+    """Profiler stand-in when observability is off: an empty store."""
 
     def get(self, trace_id: str) -> None:
         return None
 
-    def profile_ids(self) -> List[str]:
+    def trace_ids(self) -> List[str]:
         return []
 
     def clear(self) -> None:

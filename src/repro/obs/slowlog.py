@@ -6,15 +6,15 @@ the time went.  Every instrumented query path reports its effective
 latency here; queries at or above ``threshold_seconds`` are retained
 in a bounded ring (oldest evicted first) together with their trace id,
 so a slow entry links straight to its span tree via
-``GET /traces/<trace_id>``.
+``GET /traces/<trace_id>`` (or ``/profiles/<trace_id>``, the same
+document).
 
-When query profiling collected a :class:`~repro.obs.profile
-.QueryProfile` for the offending query, the caller passes it to
-:meth:`SlowQueryLog.observe` and the rendered profile tree is embedded
-in the entry — answering *where the work went* (distance evals, rows
-scanned, candidates pruned) without a second run.  Memory stays
-bounded: the ring caps entries and each profile tree caps its own
-children (``MAX_CHILDREN_PER_NODE``).
+The caller passes the query's own :class:`~repro.obs.profile
+.ProfileNode` stage to :meth:`SlowQueryLog.observe` and its rendered
+subtree is embedded in the entry — answering *where the work went*
+(distance evals, rows scanned, candidates pruned) without a second
+run.  Memory stays bounded: the ring caps entries and each node caps
+its own children (``MAX_CHILDREN_PER_NODE``).
 
 Injected fault latency (see :meth:`FaultPlan.latency
 <repro.storage.faults.FaultPlan.latency>`) is *accounted*, not slept;
@@ -43,7 +43,7 @@ class SlowQuery:
     threshold_seconds: float  #: the threshold in force when recorded
     trace_id: Optional[str] = None
     detail: Dict[str, object] = field(default_factory=dict)
-    profile: Optional[Dict[str, object]] = None  #: rendered QueryProfile
+    profile: Optional[Dict[str, object]] = None  #: rendered query stage
 
     def to_dict(self) -> Dict[str, object]:
         entry = {
@@ -86,12 +86,13 @@ class SlowQueryLog:
     ) -> bool:
         """Report one query's latency; True when it was slow (recorded).
 
-        ``profile`` takes the query's :class:`QueryProfile` (or None);
-        it is rendered to a dict only for queries that cross the
-        threshold, so the fast path never pays for serialization.
+        ``profile`` takes the query's stage (a
+        :class:`~repro.obs.profile.ProfileNode`, or None); it is
+        rendered to a dict only for queries that cross the threshold,
+        so the fast path never pays for serialization.
         """
         slow = seconds >= self.threshold_seconds
-        rendered = profile.to_dict() if (slow and profile is not None) else None
+        rendered = profile.document() if (slow and profile is not None) else None
         with self._lock:
             self.observed += 1
             if slow:

@@ -300,7 +300,7 @@ class LSMManager:
         drain happens after the lock is released.
         """
         obs = get_obs()
-        with obs.tracer.span("lsm.insert", rows=len(row_ids)):
+        with profile_stage("lsm.insert", rows=len(row_ids)):
             started = time.perf_counter()
             with self._lock:
                 self._raise_bg_crash_locked()
@@ -576,7 +576,7 @@ class LSMManager:
             return
         obs = get_obs()
         job = obs.jobs.start("flush")
-        with obs.tracer.span("lsm.flush", frozen=fid):
+        with profile_stage("lsm.flush", frozen=fid):
             started = time.perf_counter()
             obs.events.emit(obs_events.FLUSH_START, fid=fid, rows=entry.rows)
             try:
@@ -756,7 +756,7 @@ class LSMManager:
         obs = get_obs()
         job = obs.jobs.start("compaction")
         job.advance(phase="merge")
-        with obs.tracer.span("lsm.merge", inputs=len(segment_ids)):
+        with profile_stage("lsm.merge", inputs=len(segment_ids)):
             started = time.perf_counter()
             try:
                 merged_id = self._merge_segments_locked(segment_ids, job=job)
@@ -833,7 +833,7 @@ class LSMManager:
         obs = get_obs()
         job = obs.jobs.start("compaction")
         job.advance(phase="purge", rows_total=segment.num_rows)
-        with obs.tracer.span("lsm.purge", segment=seg_id):
+        with profile_stage("lsm.purge", segment=seg_id):
             started = time.perf_counter()
             try:
                 covered = np.intersect1d(tombstones, segment.row_ids)
@@ -873,7 +873,7 @@ class LSMManager:
         obs = get_obs()
         job = obs.jobs.start("index-build")
         job.advance(phase=itype, rows_total=segment.num_rows)
-        with obs.tracer.span(
+        with profile_stage(
             "index.build", segment=seg_id, field=fieldname, index_type=itype
         ):
             started = time.perf_counter()
@@ -959,7 +959,9 @@ class LSMManager:
             merged_params.update(params)
         else:
             merged_params = dict(params)
-        wanted = (itype.upper(), resolved_index_params(itype, merged_params))
+        # resolving first refuses an unknown (or non-string) index_type
+        resolved = resolved_index_params(itype, merged_params)
+        wanted = (itype.upper(), resolved)
         for seg_id in self.manifest.live_segment_ids():
             segment = self.bufferpool.get(seg_id)
             if segment.num_rows == 0:
@@ -1093,11 +1095,9 @@ class LSMManager:
             if (isinstance(nprobe, int) and nprobe > 0
                     and collects_scans(len(queries), nprobe, self._nlist, n_scans)):
                 collector = TopKCollector(len(queries), k, metric.higher_is_better)
-            with obs.tracer.span(
+            with profile_stage(
                 "lsm.search", field=field, nq=len(queries), k=k,
                 segments=n_scans,
-            ), profile_stage(
-                "lsm.search", field=field, segments=n_scans,
             ):
                 started = time.perf_counter()
 
@@ -1106,9 +1106,7 @@ class LSMManager:
                     # for exactly the duration of its own scan.
                     segment = self.bufferpool.get(seg_id, pin=True)
                     try:
-                        with profile_stage(
-                            "segment.search", segment=seg_id
-                        ), obs.tracer.span("segment.search", segment=seg_id):
+                        with profile_stage("segment.search", segment=seg_id):
                             return segment.search(
                                 field, queries, k,
                                 exclude=exclude,
@@ -1124,9 +1122,7 @@ class LSMManager:
                     # No pin: the snapshot's refcount keeps the frozen
                     # entry (and therefore the view) alive.
                     view = self._frozen_view(fid)
-                    with profile_stage(
-                        "segment.search", segment=-(fid + 1)
-                    ), obs.tracer.span("segment.search", segment=view.segment_id):
+                    with profile_stage("segment.search", segment=-(fid + 1)):
                         return view.search(
                             field, queries, k,
                             exclude=exclude,

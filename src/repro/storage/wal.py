@@ -55,6 +55,7 @@ import numpy as np
 
 from repro.obs import get_obs
 from repro.obs import events as obs_events
+from repro.obs.profile import profile_stage
 from repro.storage.filesystem import FileSystem
 from repro.utils.sanitizer import assert_guarded, maybe_sanitize
 
@@ -286,7 +287,7 @@ class WriteAheadLog:
         # failed one may have left a damaged tail.
         obs = get_obs()
         blob = record.to_bytes()
-        with obs.tracer.span("wal.append", kind=record.kind):
+        with profile_stage("wal.append", kind=record.kind):
             started = time.perf_counter()
             if self._active is None:
                 if record.lsn in self._files:

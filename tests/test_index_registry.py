@@ -23,7 +23,7 @@ class TestRegistry:
         assert index.index_type == "IVF_FLAT"
 
     def test_unknown_type(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="index_type"):
             create_index("BOGUS", 8)
 
     def test_params_forwarded(self):

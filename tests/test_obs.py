@@ -1,4 +1,4 @@
-"""Observability layer: metrics, tracing, slow-query log, accounting fixes.
+"""Observability layer: metrics, the span tree, slow-query log, accounting.
 
 Covers the repro.obs primitives in isolation, the switchboard contract
 (off by default, injectable for tests), the REST exposition endpoints,
@@ -26,10 +26,12 @@ from repro.datasets import random_queries, sift_like
 from repro.distributed import MilvusCluster, RespawnPolicy
 from repro.obs import (
     MetricsRegistry,
+    Profiler,
     SlowQueryLog,
     Stopwatch,
-    Tracer,
 )
+from repro.obs import profile as obs_profile
+from repro.obs.profile import NULL_STAGE, current_node, profile_stage
 from repro.storage import (
     FaultPlan,
     FaultyFileSystem,
@@ -138,59 +140,69 @@ class TestMetrics:
         assert "p99" in snap["b_seconds"]
 
 
-# -- tracing ---------------------------------------------------------------
+# -- the span tree ---------------------------------------------------------
 
 
 class TestTracing:
-    def test_parent_child_ambient_propagation(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            assert tracer.current_span() is outer
-            with tracer.span("inner") as inner:
-                assert inner.trace_id == outer.trace_id
-                assert inner.parent_id == outer.span_id
-        tree = tracer.trace_tree(outer.trace_id)
-        assert tree["num_spans"] == 2
-        assert tree["roots"][0]["name"] == "outer"
-        assert tree["roots"][0]["children"][0]["name"] == "inner"
+    """The one span API: ``profile_stage`` nodes, kept by the profiler."""
 
-    def test_separate_roots_get_separate_traces(self):
-        tracer = Tracer()
-        with tracer.span("a") as a:
+    def test_parent_child_ambient_propagation(self, obs_on):
+        with profile_stage("outer") as outer:
+            assert current_node() is outer
+            with profile_stage("inner") as inner:
+                assert current_node() is inner
+                assert inner.trace_id == outer.trace_id
+        assert current_node() is None
+        assert outer.children == [inner]
+        assert inner.start >= outer.start
+        doc = obs_on.profiler.get(outer.trace_id).document()
+        assert doc["trace_id"] == outer.trace_id
+        assert doc["root"]["name"] == "outer"
+        assert doc["root"]["children"][0]["name"] == "inner"
+        # only roots are kept: the child lives inside its root's tree
+        assert obs_on.profiler.trace_ids() == [outer.trace_id]
+
+    def test_separate_roots_get_separate_traces(self, obs_on):
+        with profile_stage("a") as a:
             pass
-        with tracer.span("b") as b:
+        with profile_stage("b") as b:
             pass
         assert a.trace_id != b.trace_id
+        assert obs_on.profiler.trace_ids() == [a.trace_id, b.trace_id]
 
-    def test_deterministic_sequence_ids(self):
-        tracer = Tracer()
-        with tracer.span("x") as x:
+    def test_deterministic_sequence_ids(self, obs_on):
+        with profile_stage("x") as x:
             pass
         assert re.fullmatch(r"t\d{6}", x.trace_id)
-        assert re.fullmatch(r"s\d{6}", x.span_id)
+        assert x.trace_id == "t000001"  # a fresh profiler counts from 1
 
-    def test_error_recorded_on_exception(self):
-        tracer = Tracer()
+    def test_error_recorded_on_exception(self, obs_on):
         with pytest.raises(RuntimeError):
-            with tracer.span("boom") as span:
+            with profile_stage("boom") as stage:
                 raise RuntimeError("nope")
-        assert span.attrs["error"] == "RuntimeError"
+        assert stage.attrs["error"] == "RuntimeError"
+        assert obs_on.profiler.get(stage.trace_id) is stage  # still kept
 
-    def test_trace_store_is_bounded(self):
-        tracer = Tracer(max_traces=3, max_spans_per_trace=2)
-        ids = []
-        for __ in range(5):
-            with tracer.span("root") as root:
-                ids.append(root.trace_id)
-        assert len(tracer.trace_ids()) == 3
-        assert tracer.get_trace(ids[0]) is None  # LRU-evicted
-        with tracer.span("deep") as deep:
-            with tracer.span("c1"):
-                with tracer.span("c2"):
-                    with tracer.span("c3"):
+    def test_trace_store_is_bounded(self, monkeypatch):
+        handle = obs.enable(profiler=Profiler(max_profiles=3))
+        try:
+            ids = []
+            for __ in range(5):
+                with profile_stage("root") as root:
+                    ids.append(root.trace_id)
+            assert handle.profiler.trace_ids() == ids[2:]
+            assert handle.profiler.get(ids[0]) is None  # LRU-evicted
+            monkeypatch.setattr(obs_profile, "MAX_CHILDREN_PER_NODE", 2)
+            with profile_stage("wide") as wide:
+                for name in ("c1", "c2", "c3", "c4"):
+                    with profile_stage(name):
                         pass
-        assert len(tracer.get_trace(deep.trace_id)) == 2
-        assert tracer.dropped_spans == 2
+            assert [c.name for c in wide.children] == ["c1", "c2"]
+            assert wide.dropped_children == 2
+            doc = handle.profiler.get(wide.trace_id).document()
+            assert doc["root"]["dropped_children"] == 2
+        finally:
+            obs.disable()
 
 
 # -- slow-query log --------------------------------------------------------
@@ -224,8 +236,9 @@ class TestSwitchboard:
         obs.disable()
         handle = obs.get_obs()
         assert handle.registry.snapshot() == {}
-        with handle.tracer.span("noop") as span:
-            assert span.trace_id is None
+        with profile_stage("noop") as stage:
+            assert stage is NULL_STAGE and stage.trace_id is None
+            assert current_node() is None
         assert handle.slow_query_log.observe("q", 99.0) is False
         assert "disabled" in handle.registry.render_prometheus()
 
@@ -339,16 +352,15 @@ class TestTraceChain:
         client = ClusterClient(cluster)
         res = client.search(queries, 5)
         assert res.trace_id is not None
-        tree = obs_on.tracer.trace_tree(res.trace_id)
+        tree = obs_on.profiler.get(res.trace_id)
         assert tree is not None
-        root = tree["roots"][0]
+        root = tree.document()["root"]
         assert root["name"] == "client.search"
         (cluster_span,) = root["children"]
         assert cluster_span["name"] == "cluster.search"
 
-        # With REPRO_PARALLEL=1 each reader call is wrapped in an
-        # "exec.task" span, so search the whole subtree rather than
-        # only direct children.
+        # Each reader call sits in a "shard.search" stage, so search
+        # the whole subtree rather than only direct children.
         def collect(span, name):
             found = [c for c in span["children"] if c["name"] == name]
             for child in span["children"]:
@@ -364,6 +376,10 @@ class TestTraceChain:
             assert "index.search" in names
 
     def test_single_node_chain_reaches_storage(self, obs_on):
+        """A search through the router keeps exactly one tree, rooted at
+        its ``rest.request``, reaching storage, with the same exact
+        counters as EXPLAIN of the same query, served alike by
+        ``/traces/{id}`` and ``/profiles/{id}``."""
         router = RestRouter()
         router.handle("POST", "/collections", {
             "name": "t", "vector_fields": [{"name": "emb", "dim": 8}],
@@ -373,15 +389,59 @@ class TestTraceChain:
             "data": {"emb": data.tolist()},
         })
         router.handle("POST", "/flush", {})
-        resp = router.handle("POST", "/collections/t/search", {
-            "field": "emb", "queries": data[:2].tolist(), "k": 3,
-        })
+        body = {"field": "emb", "queries": data[:2].tolist(), "k": 3}
+        assert router.handle("POST", "/collections/t/search", body).ok  # warm
+
+        before = set(obs_on.profiler.trace_ids())
+        resp = router.handle("POST", "/collections/t/search", body)
         assert resp.ok
-        trace_id = obs_on.tracer.trace_ids()[-1]
-        spans = obs_on.tracer.get_trace(trace_id)
-        names = {s.name for s in spans}
+        (trace_id,) = [
+            tid for tid in obs_on.profiler.trace_ids()
+            if tid not in before
+            and obs_on.profiler.get(tid).name == "rest.request"
+        ]
+        tree = obs_on.profiler.get(trace_id)
+
+        def names(node):
+            yield node.name
+            for child in node.children:
+                yield from names(child)
+
         assert {"rest.request", "sdk.search", "collection.search",
-                "lsm.search", "segment.search"} <= names
+                "lsm.search", "segment.search"} <= set(names(tree))
+        explained = router.handle("POST", "/explain", dict(body, collection="t"))
+        assert explained.ok
+        assert tree.total_counters() == explained.body["profile"]["total_counters"]
+        assert tree.total_counters()["distance_evals"] > 0
+        as_trace = router.handle("GET", f"/traces/{trace_id}")
+        as_profile = router.handle("GET", f"/profiles/{trace_id}")
+        assert as_trace.ok and as_trace.body == as_profile.body
+        assert as_trace.body["root"]["name"] == "rest.request"
+
+    def test_slowlog_trace_id_resolves_on_both_routes(self):
+        handle = obs.enable(slow_query_log=SlowQueryLog(threshold_seconds=0.0))
+        try:
+            router = RestRouter()
+            router.handle("POST", "/collections", {
+                "name": "s", "vector_fields": [{"name": "v", "dim": 4}],
+            })
+            router.handle("POST", "/collections/s/entities", {
+                "data": {"v": np.eye(4).tolist()},
+            })
+            router.handle("POST", "/collections/s/search", {
+                "field": "v", "queries": np.eye(4)[:1].tolist(), "k": 1,
+            })
+            (entry,) = [e for e in handle.slow_query_log.entries()
+                        if e.name == "collection.search"]
+            as_trace = router.handle("GET", f"/traces/{entry.trace_id}")
+            as_profile = router.handle("GET", f"/profiles/{entry.trace_id}")
+            assert as_trace.ok and as_trace.body == as_profile.body
+            assert as_trace.body["root"]["name"] == "rest.request"
+            # the entry embeds the query's own stage, not the request
+            assert entry.profile["root"]["name"] == "collection.search"
+            assert entry.profile["trace_id"] == entry.trace_id
+        finally:
+            obs.disable()
 
 
 # -- engine metrics --------------------------------------------------------

@@ -369,6 +369,30 @@ class TestUsageAccounting:
         assert record["counters"] == expected
         assert expected["distance_evals"] > 0
 
+    def test_usage_counters_equal_summed_kept_trees(self):
+        """With observability on, every search is kept as a span tree;
+        the collection's usage is the sum of those trees' counters."""
+        server, coll = make_server()
+        rng = np.random.default_rng(7)
+        coll.insert({"emb": rng.normal(size=(200, 8)).astype(np.float32)})
+        coll.flush()
+        handle = obs.enable()       # after the build: only searches are kept
+        try:
+            for __ in range(3):
+                coll.search("emb", rng.normal(size=(2, 8)).astype(np.float32), k=4)
+            kept = [handle.profiler.get(t) for t in handle.profiler.trace_ids()]
+            assert [root.name for root in kept] == ["collection.search"] * 3
+            summed = {}
+            for root in kept:
+                for key, value in root.total_counters().items():
+                    summed[key] = summed.get(key, 0) + value
+            record = handle.usage.collection("c")
+            assert record["queries"] == 3
+            assert record["counters"] == summed
+            assert summed["distance_evals"] > 0
+        finally:
+            obs.disable()
+
     def test_nested_searches_not_double_counted(self, obs_on):
         """Per-segment sub-searches must not inflate the query count:
         one top-level search == one metered query."""

@@ -110,7 +110,7 @@ class TestProfilePrimitives:
         }
         assert prof.seconds >= 0.0
 
-    def test_helpers_are_noops_without_active_profile(self):
+    def test_helpers_are_noops_without_active_profile(self, obs_off):
         assert current_node() is None
         profile_count("rows_scanned", 3)          # must not raise
         assert profile_stage("orphan") is NULL_STAGE  # reprolint: disable=span-context
@@ -129,15 +129,16 @@ class TestProfilePrimitives:
 
     def test_profiler_store_is_lru(self):
         store = Profiler(max_profiles=2)
-        for i in range(3):
-            store.record(f"t{i}", QueryProfile("q"))
-        assert store.profile_ids() == ["t1", "t2"]
-        assert store.get("t0") is None
-        assert store.get("t2") is not None
-        auto = store.record(None, QueryProfile("q"))
-        assert auto.startswith("p") and store.get(auto) is not None
+        for __ in range(3):
+            with store.root("q"):
+                pass
+        assert store.trace_ids() == ["t000002", "t000003"]
+        assert store.get("t000001") is None
+        assert store.get("t000003").name == "q"
+        unfinished = store.root("q")          # kept only once it exits
+        assert store.get(unfinished.trace_id) is None
         store.clear()
-        assert store.profile_ids() == []
+        assert store.trace_ids() == []
 
 
 # -- EXPLAIN plan content --------------------------------------------------
@@ -264,7 +265,7 @@ class TestDisabledPath:
         coll = build_collection(data, prices, nlist=8, seed=0)
         result = coll.search("emb", queries, 5)
         assert not isinstance(result, ExplainedResult)
-        assert obs.get_obs().profiler.profile_ids() == []
+        assert obs.get_obs().profiler.trace_ids() == []
         assert current_node() is None
 
     def test_explain_works_with_obs_off(self, obs_off, prof_data):
@@ -274,7 +275,7 @@ class TestDisabledPath:
         coll = build_collection(data, prices, nlist=8, seed=0)
         res = coll.search("emb", queries[:1], 3, explain=True)
         assert res.profile.total_counters()["distance_evals"] > 0
-        assert obs.get_obs().profiler.profile_ids() == []
+        assert obs.get_obs().profiler.trace_ids() == []
 
 
 # -- profiler store, REST, slowlog -----------------------------------------
@@ -296,21 +297,23 @@ class TestStoreAndRest:
     def test_every_search_is_profiled_when_enabled(self, obs_on, prof_data):
         data, prices, queries = prof_data
         coll = build_collection(data, prices, nlist=8, seed=0)
+        obs_on.profiler.clear()               # drop the build's flush trees
         coll.search("emb", queries, 5)
-        ids = obs_on.profiler.profile_ids()
+        ids = obs_on.profiler.trace_ids()
         assert len(ids) == 1
-        profile = obs_on.profiler.get(ids[-1])
-        assert profile.root.name == "collection.search"
-        assert profile.total_counters()["distance_evals"] > 0
+        root = obs_on.profiler.get(ids[-1])
+        assert root.name == "collection.search"
+        assert root.total_counters()["distance_evals"] > 0
 
     def test_nested_search_joins_ambient_profile(self, obs_on, prof_data):
         """A search issued while a profile is active becomes a stage of
-        it instead of spawning (and recording) its own profile."""
+        it instead of spawning (and recording) its own tree."""
         data, prices, queries = prof_data
         coll = build_collection(data, prices, nlist=8, seed=0)
+        obs_on.profiler.clear()
         with QueryProfile("outer") as prof:
             coll.search("emb", queries[:1], 3)
-        assert obs_on.profiler.profile_ids() == []
+        assert obs_on.profiler.trace_ids() == [prof.trace_id]
         assert prof.root.children[0].name == "collection.search"
 
     def test_rest_profile_endpoints(self, obs_on):
@@ -320,10 +323,15 @@ class TestStoreAndRest:
             "field": "emb", "queries": data[:2].tolist(), "k": 3,
         })
         listing = router.handle("GET", "/profiles")
-        assert listing.ok and len(listing.body["profile_ids"]) == 1
-        trace_id = listing.body["profile_ids"][-1]
+        assert listing.ok
+        # one store: /traces lists the same ids, plus the GET /profiles
+        # request that finished in between
+        later = router.handle("GET", "/traces").body["trace_ids"]
+        assert later[1:] == listing.body["trace_ids"]
+        trace_id = listing.body["trace_ids"][0]   # newest: the search
         tree = router.handle("GET", f"/profiles/{trace_id}")
         assert tree.ok
+        assert tree.body["root"]["attrs"]["path"] == "/collections/t/search"
         assert tree.body["total_counters"]["distance_evals"] > 0
         assert router.handle("GET", "/profiles/t999999").status == 404
 

@@ -241,6 +241,34 @@ class TestHygiene:
         assert violations == []
 
 
+class TestSpanContext:
+    def test_stage_never_entered_flagged(self):
+        violations = lint("""
+        from repro.obs import profile as p
+        from repro.obs.profile import measurement_stage, profile_stage
+
+        def f():
+            profile_stage("flush")
+            p.profile_stage("merge")
+            return measurement_stage("exec")
+        """)
+        assert rules_of(violations) == ["span-context"] * 3
+
+    def test_entered_stages_and_node_stage_allowed(self):
+        violations = lint("""
+        from repro.obs.profile import current_node, profile_stage
+
+        def f():
+            with profile_stage("flush"):
+                pass
+            stage = profile_stage("merge")
+            with stage:
+                pass
+            return current_node().stage("child")
+        """)
+        assert violations == []
+
+
 class TestSuppression:
     def test_line_suppression(self):
         violations = lint("""

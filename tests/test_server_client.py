@@ -190,6 +190,57 @@ class TestRest:
         assert resp.ok and resp.body["segments_indexed"] == 1
 
 
+class TestIndexAndMultiSearchValidation:
+    """The index and multi-search routes refuse bad bodies with a 400
+    naming the field, never a crash or a mislabelled error."""
+
+    @pytest.fixture()
+    def router(self):
+        router = RestRouter()
+        router.handle("POST", "/collections", {
+            "name": "mv", "vector_fields": [
+                {"name": "a", "dim": 4}, {"name": "b", "dim": 4}],
+        })
+        rows = np.arange(40, dtype=np.float32).reshape(10, 4)
+        router.handle("POST", "/collections/mv/entities", {
+            "data": {"a": rows.tolist(), "b": rows[::-1].tolist()}})
+        router.handle("POST", "/flush", {"collection": "mv"})
+        return router
+
+    @pytest.mark.parametrize("index_type", ["NOPE", 5])
+    def test_unknown_index_type_names_index_type(self, router, index_type):
+        resp = router.handle("POST", "/collections/mv/index", {
+            "field": "a", "index_type": index_type})
+        assert resp.status == 400
+        assert resp.body["error"].startswith("index_type: unknown index type")
+        assert "missing field" not in resp.body["error"]
+
+    @pytest.mark.parametrize("body,named", [
+        ({"queries": [1, 2]}, "queries"),     # was an AttributeError crash
+        ({"queries": "ab"}, "queries"),
+        ({"k": "a"}, "k"),                    # was "invalid literal for int()"
+        ({"k": 0}, "k"),
+        ({"k": -3}, "k"),
+        ({"k": 2.5}, "k"),
+        ({"k": None}, "k"),
+        ({"k": 16385}, "k"),
+        ({"k": 10 ** 9}, "k"),
+    ])
+    def test_bad_multi_search_names_the_field(self, router, body, named):
+        request = {"queries": {"a": [[0.0, 1.0, 2.0, 3.0]],
+                               "b": [[3.0, 2.0, 1.0, 0.0]]}, "k": 3}
+        request.update(body)
+        resp = router.handle("POST", "/collections/mv/multi_search", request)
+        assert resp.status == 400
+        assert resp.body["error"].startswith(named)
+
+    def test_good_multi_search_answers(self, router):
+        resp = router.handle("POST", "/collections/mv/multi_search", {
+            "queries": {"a": [[0.0, 1.0, 2.0, 3.0]], "b": [[3.0, 2.0, 1.0, 0.0]]},
+            "k": 3})
+        assert resp.ok and len(resp.body["hits"][0]) == 3
+
+
 class TestSearchRequestValidation:
     """A search that cannot be served is a 400 naming the argument —
     decided in ``Collection.search``, so REST and SDK agree."""

@@ -539,32 +539,33 @@ class MetricNameRule:
 
 
 class SpanContextRule:
-    """Tracer spans / profile stages must be entered via ``with``.
+    """Stages must be entered via ``with``.
 
-    A ``<tracer>.span(...)`` or ``profile_stage(...)`` call that is
-    never entered records nothing (the timer starts on ``__enter__``),
-    so the call must appear either directly as a ``with`` item or be
-    assigned to a name that is used as a ``with`` item in the same
-    file.  ``ProfileNode.stage(...)`` is exempt: pre-creating child
-    stages on the coordinating thread (and entering them inside the
-    workers) is the sanctioned fan-out determinism pattern.
+    A ``profile_stage(...)`` or ``measurement_stage(...)`` call that is
+    never entered records nothing (the timer starts on ``__enter__``,
+    and a root is kept only on ``__exit__``), so the call must appear
+    either directly as a ``with`` item or be assigned to a name that is
+    used as a ``with`` item in the same file.  ``ProfileNode.stage(...)``
+    is exempt: pre-creating child stages on the coordinating thread (and
+    entering them inside the workers) is the sanctioned fan-out
+    determinism pattern.
     """
 
     rule_id = "span-context"
     rationale = (
-        "Tracer spans and profile stages start their timers in __enter__; "
-        "a span(...) call that is never entered as a context manager "
-        "records nothing and silently drops the timing data. "
-        "ProfileNode.stage pre-creation is the sanctioned exception."
+        "Stages start their timers in __enter__ and a root stage is kept "
+        "only on __exit__; a profile_stage(...) call that is never entered "
+        "as a context manager records nothing and silently drops the "
+        "timing data. ProfileNode.stage pre-creation is the sanctioned "
+        "exception."
     )
     example = (
-        "    tracer.span(\"flush\")            # <- BAD: never entered\n"
-        "    with tracer.span(\"flush\"):      # ok\n"
+        "    profile_stage(\"flush\")            # <- BAD: never entered\n"
+        "    with profile_stage(\"flush\"):      # ok\n"
         "        ...\n"
     )
 
-    _SPAN_ATTRS = {"span", "start_span"}
-    _SPAN_NAMES = {"profile_stage"}
+    _STAGE_FUNCTIONS = {"profile_stage", "measurement_stage"}
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         withitem_calls: Set[int] = set()
@@ -588,7 +589,7 @@ class SpanContextRule:
                 path=ctx.path, line=call.lineno, col=call.col_offset,
                 rule=self.rule_id,
                 message=f"{label}(...) opened outside a 'with' statement; "
-                        f"spans/stages only record when entered as a "
+                        f"stages only record when entered as a "
                         f"context manager",
             )
 
@@ -616,9 +617,9 @@ class SpanContextRule:
     def _is_span_call(cls, call: ast.Call) -> bool:
         func = call.func
         if isinstance(func, ast.Attribute):
-            return func.attr in cls._SPAN_ATTRS
+            return func.attr in cls._STAGE_FUNCTIONS
         if isinstance(func, ast.Name):
-            return func.id in cls._SPAN_NAMES
+            return func.id in cls._STAGE_FUNCTIONS
         return False
 
     @staticmethod
